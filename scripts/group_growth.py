@@ -26,7 +26,6 @@ class GrowthConfig:
     d_min: int = 1
     d_max: int = 15
     max_elements: int = 2_000_000
-    cache_dir: Path | None = None
 
 
 def sl2_order(d: int) -> int:
@@ -49,9 +48,8 @@ def main() -> int:
     parser.add_argument("--d-min", type=int, default=1)
     parser.add_argument("--d-max", type=int, default=15)
     parser.add_argument("--max-elements", type=int, default=2_000_000)
-    parser.add_argument("--cache-dir", type=Path, default=None)
     args = parser.parse_args()
-    cfg = GrowthConfig(args.d_min, args.d_max, args.max_elements, args.cache_dir)
+    cfg = GrowthConfig(args.d_min, args.d_max, args.max_elements)
 
     print(f"{'d':>3} {'order':>9} {'sl2(Z_d)':>9} {'match':>5} {'diameter':>8}  widest layer")
     mismatches = 0
@@ -60,7 +58,6 @@ def main() -> int:
             d,
             max_elements=cfg.max_elements,
             max_dimension=max(cfg.d_max, 31),
-            cache_dir=cfg.cache_dir,
         )
         expected = sl2_order(d)
         ok = census.order == expected

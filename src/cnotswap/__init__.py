@@ -43,7 +43,6 @@ from .synthesis import (
     SearchOutcome,
     SynthesisResult,
     apply_word,
-    bidirectional_find,
     census_payload,
     enumerate_group,
     find_word,
@@ -78,7 +77,6 @@ __all__ = [
     "SearchOutcome",
     "SynthesisResult",
     "apply_word",
-    "bidirectional_find",
     "census_payload",
     "enumerate_group",
     "find_word",

@@ -29,7 +29,6 @@ from .synthesis import (
     DEFAULT_MAX_ELEMENTS,
     GroupCensus,
     SearchOutcome,
-    bidirectional_find,
     census_payload,
     enumerate_group,
     find_word,
@@ -86,18 +85,13 @@ def build_parser() -> _Parser:
     common(p_synth)
     p_synth.add_argument("--target", choices=["swap"], default="swap")
     p_synth.add_argument("--max-depth", type=_nonnegative_int, default=None)
-    p_synth.add_argument("--bidirectional", action="store_true",
-                         help="meet-in-the-middle search (same results)")
     p_synth.add_argument("--max-elements", type=_positive_int, default=DEFAULT_MAX_ELEMENTS)
     p_synth.add_argument("--max-dimension", type=_positive_int, default=DEFAULT_MAX_DIMENSION)
-    p_synth.add_argument("--workers", type=_positive_int, default=1)
 
     p_group = sub.add_parser("group", help="enumerate the generated group")
     common(p_group)
     p_group.add_argument("--max-elements", type=_positive_int, default=DEFAULT_MAX_ELEMENTS)
     p_group.add_argument("--max-dimension", type=_positive_int, default=DEFAULT_MAX_DIMENSION)
-    p_group.add_argument("--workers", type=_positive_int, default=1)
-    p_group.add_argument("--cache-dir", default=None)
 
     p_export = sub.add_parser("export", help="print a gate's permutation matrix")
     common(p_export)
@@ -191,25 +185,17 @@ def _run_decide(args) -> int:
 
 
 def _run_synth(args) -> int:
-    target = swap_perm(args.d)
-    search_kwargs = dict(
+    result = find_word(
+        args.d,
+        swap_perm(args.d),
+        max_depth=args.max_depth,
         max_elements=args.max_elements,
-        workers=args.workers,
         max_dimension=args.max_dimension,
     )
-    if args.bidirectional:
-        result = bidirectional_find(args.d, target, max_total_depth=args.max_depth,
-                                    **search_kwargs)
-    else:
-        result = find_word(args.d, target, max_depth=args.max_depth, **search_kwargs)
-
-    # worker count is an execution knob that cannot change results, so it
-    # is deliberately absent from the report: runs stay byte-comparable
     params = {
         "d": args.d,
         "target": args.target,
         "max_depth": args.max_depth,
-        "bidirectional": args.bidirectional,
         "max_elements": args.max_elements,
         "max_dimension": args.max_dimension,
     }
@@ -246,15 +232,12 @@ def _run_group(args) -> int:
     result = enumerate_group(
         args.d,
         max_elements=args.max_elements,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
         max_dimension=args.max_dimension,
     )
     params = {
         "d": args.d,
         "max_elements": args.max_elements,
         "max_dimension": args.max_dimension,
-        "cache_dir": args.cache_dir,
     }
     if isinstance(result, GroupCensus):
         payload = {"outcome": "census", **census_payload(result)}

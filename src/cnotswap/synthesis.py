@@ -1,12 +1,17 @@
 """Exhaustive search in the group generated by the two CNOT permutations.
 
+Both CNOTs act on digit pairs as the elementary matrices [[1,0],[1,1]] and
+[[1,1],[0,1]] over Z_d, so every group element is a 2x2 matrix and the
+search runs over 4-int matrix states; image tables are only built for
+callers that ask for permutations.
+
 The Cayley graph is explored breadth-first: appending a generator to the
 end of a circuit-time word is one edge, so the depth of an element's first
 visit is its shortest word length.  Expanding parents in insertion order
 and trying CNOT1 before CNOT2 makes the first word recorded for each
 element the lexicographically least among its shortest words; every
 externally visible result (census, witness word) is therefore a pure
-function of the inputs, independent of worker count.
+function of the inputs.
 
 Unreachability is only ever reported from a fully enumerated closure.
 A search truncated by a depth or element cap reports DEPTH_LIMIT instead.
@@ -14,26 +19,17 @@ A search truncated by a depth or element cap reports DEPTH_LIMIT instead.
 
 from __future__ import annotations
 
-import json
-import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .gates import GENERATORS, GateKind, gate_perm, _check_dimension
+from .gates import GENERATORS, GateKind, LinearMap2, as_linear_map, gate_perm, _check_dimension
 from .perm import CostGuardError, Perm
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
 DEFAULT_MAX_DIMENSION = 31
 WORD_EVAL_MAX_DIMENSION = 64
-
-CENSUS_CACHE_FORMAT = "cnot-group-census/1"
-GENERATOR_SET_VERSION = "cnot1-cnot2-v1"
 
 
 @dataclass(frozen=True)
@@ -101,35 +97,13 @@ def apply_word(word: GateWord) -> Perm:
     return acc
 
 
-def _dtype_for(n: int):
-    return np.int16 if n < 2**15 else np.int32
-
-
-def _generator_images(d: int) -> list[np.ndarray]:
-    dt = _dtype_for(d * d)
-    return [np.array(gate_perm(k, d).image, dtype=dt) for k in GENERATORS]
-
-
-def _expand_rows(gen_imgs: list[np.ndarray], rows: np.ndarray, workers: int) -> list[np.ndarray]:
-    """children[li][r] = image table of (generator li) composed after rows[r].
-
-    Chunked across threads when asked; results are reassembled in chunk
-    order, so the output is identical for any worker count.
-    """
-    if workers <= 1 or len(rows) < 64:
-        return [g[rows] for g in gen_imgs]
-    chunks = np.array_split(rows, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda ch: [g[ch] for g in gen_imgs], chunks))
-    return [np.concatenate([p[li] for p in parts]) for li in range(len(gen_imgs))]
-
-
 @dataclass
 class _Closure:
     status: str  # "complete" | "found" | "depth_cap" | "element_cap"
-    rows: list[np.ndarray]
-    parents: list[int]
-    letters: list[int]
+    size: int
+    layers: list[np.ndarray]
+    parents: list[np.ndarray]
+    letters: list[np.ndarray]
     counts_by_depth: list[int]
     found_index: int = -1
     stopped_depth: int = 0
@@ -141,70 +115,95 @@ def _closure_bfs(
     *,
     max_elements: int,
     max_depth: int | None = None,
-    target: Perm | None = None,
-    workers: int = 1,
+    target: LinearMap2 | None = None,
 ) -> _Closure:
     """Deterministic breadth-first closure over {CNOT1, CNOT2}.
 
-    Visited keys are the full image tables (encoded to bytes with a fixed
-    dtype), never a lossy hash: certificates of unreachability rely on
-    exact membership.
+    Elements are 2x2 matrices (a, b, c, e) over Z_d in the ``LinearMap2``
+    convention, one row of ``layers[k]`` each.  A linear map is fixed by its
+    images of (1, 0) and (0, 1), so distinct matrices are distinct
+    permutations and the exact key ((a*d + b)*d + c)*d + e, marked in a
+    dense d**4 bitmap, is exact membership: certificates of unreachability
+    rely on it, never on a lossy hash.
+
+    Per layer the children are interleaved in (parent, CNOT1 before CNOT2)
+    order and the first occurrence of each unvisited key is kept, which is
+    the element a one-at-a-time insertion-order loop would have added.
     """
-    gen_imgs = _generator_images(d)
-    ident = np.arange(d * d, dtype=gen_imgs[0].dtype)
-    rows = [ident]
-    parents = [-1]
-    letters = [-1]
-    index: dict[bytes, int] = {ident.tobytes(): 0}
+    weights = np.array([d**3, d**2, d, 1], dtype=np.int64)
+    ident = np.array([[1 % d, 0, 0, 1 % d]], dtype=np.int64)
+    visited = np.zeros(d**4, dtype=bool)
+    visited[ident @ weights] = True
+    layers = [ident]
+    parents = [np.array([-1], dtype=np.int64)]
+    letters = [np.array([-1], dtype=np.int64)]
     counts = [1]
+    size = 1
 
     target_key = None
     if target is not None:
-        target_key = np.array(target.image, dtype=ident.dtype).tobytes()
-        if target_key == ident.tobytes():
-            return _Closure("found", rows, parents, letters, counts, found_index=0)
+        target_key = ((target.a * d + target.b) * d + target.c) * d + target.e
+        if visited[target_key]:
+            return _Closure("found", size, layers, parents, letters, counts, found_index=0)
 
-    frontier = [0]
+    frontier = ident
+    start = 0  # index of the frontier's first element
     depth = 0
-    while frontier:
+    while len(frontier):
         if max_depth is not None and depth >= max_depth:
             return _Closure(
-                "depth_cap", rows, parents, letters, counts,
+                "depth_cap", size, layers, parents, letters, counts,
                 stopped_depth=depth, stopped_frontier=len(frontier),
             )
-        mat = np.stack([rows[i] for i in frontier])
-        children = _expand_rows(gen_imgs, mat, workers)
-        new_frontier: list[int] = []
-        for pos, parent_idx in enumerate(frontier):
-            for li in range(len(gen_imgs)):
-                row = children[li][pos]
-                key = row.tobytes()
-                if key in index:
-                    continue
-                if len(rows) >= max_elements:
-                    return _Closure(
-                        "element_cap", rows, parents, letters, counts,
-                        stopped_depth=depth, stopped_frontier=len(frontier),
-                    )
-                idx = len(rows)
-                index[key] = idx
-                rows.append(row.copy())
-                parents.append(parent_idx)
-                letters.append(li)
-                new_frontier.append(idx)
-                if key == target_key:
-                    return _Closure(
-                        "found", rows, parents, letters, counts, found_index=idx
-                    )
-        if new_frontier:
-            counts.append(len(new_frontier))
-        frontier = new_frontier
+        # CNOT1 * [[a, b], [c, e]] = [[a, b], [a+c, b+e]] and
+        # CNOT2 * [[a, b], [c, e]] = [[a+c, b+e], [c, e]]
+        sums = (frontier[:, :2] + frontier[:, 2:]) % d
+        children = np.stack(
+            [np.hstack([frontier[:, :2], sums]), np.hstack([sums, frontier[:, 2:]])],
+            axis=1,
+        ).reshape(-1, 4)
+        keys = children @ weights
+        fresh = np.flatnonzero(~visited[keys])
+        _, first = np.unique(keys[fresh], return_index=True)
+        new = fresh[np.sort(first)]  # child positions, in insertion order
+
+        # the cap fires when one more element would exceed it; a target
+        # met before that point is still found
+        room = max(max_elements - size, 0)
+        found = False
+        if target_key is not None:
+            hits = np.flatnonzero(keys[new] == target_key)
+            found = len(hits) > 0 and hits[0] < room
+        if found:
+            new = new[: hits[0] + 1]
+        elif len(new) > room:
+            return _Closure(
+                "element_cap", size + room, layers, parents, letters, counts,
+                stopped_depth=depth, stopped_frontier=len(frontier),
+            )
+
+        frontier = children[new]
+        visited[keys[new]] = True
+        layers.append(frontier)
+        parents.append(start + new // 2)
+        letters.append(new % 2)
+        start = size
+        size += len(new)
+        if found:
+            return _Closure(
+                "found", size, layers, parents, letters, counts, found_index=size - 1
+            )
+        if len(new):
+            counts.append(len(new))
         depth += 1
-    return _Closure("complete", rows, parents, letters, counts)
+    return _Closure("complete", size, layers, parents, letters, counts)
 
 
-def _word_from_records(parents: list[int], letters: list[int], idx: int, d: int) -> GateWord:
+def _word_from_records(closure: _Closure, d: int) -> GateWord:
+    parents = np.concatenate(closure.parents)
+    letters = np.concatenate(closure.letters)
     out: list[GateKind] = []
+    idx = closure.found_index
     while idx > 0:
         out.append(GENERATORS[letters[idx]])
         idx = parents[idx]
@@ -224,33 +223,19 @@ def enumerate_group(
     d: int,
     *,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
-    workers: int = 1,
-    cache_dir: str | Path | None = None,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> GroupCensus | GroupTooLarge:
-    """Enumerate the whole generated group; order, diameter, layer counts.
-
-    With ``cache_dir`` set, a previously stored census for the same d and
-    generator set is reused; stale or corrupt cache files are ignored with
-    a warning and recomputed.
-    """
+    """Enumerate the whole generated group; order, diameter, layer counts."""
     _check_search_guards(d, max_dimension)
-    if cache_dir is not None:
-        cached = _load_cached_census(Path(cache_dir), d, max_elements)
-        if cached is not None:
-            return cached
-    closure = _closure_bfs(d, max_elements=max_elements, workers=workers)
+    closure = _closure_bfs(d, max_elements=max_elements)
     if closure.status == "element_cap":
-        return GroupTooLarge(d=d, max_elements=max_elements, elements_found=len(closure.rows))
-    census = GroupCensus(
+        return GroupTooLarge(d=d, max_elements=max_elements, elements_found=closure.size)
+    return GroupCensus(
         d=d,
-        order=len(closure.rows),
+        order=closure.size,
         diameter=len(closure.counts_by_depth) - 1,
         counts_by_depth=tuple(closure.counts_by_depth),
     )
-    if cache_dir is not None:
-        _store_census(Path(cache_dir), census)
-    return census
 
 
 def group_elements(
@@ -266,7 +251,11 @@ def group_elements(
         raise CostGuardError(
             f"group at d = {d} exceeds the {max_elements}-element cap"
         )
-    return [Perm(row.tolist()) for row in closure.rows]
+    # (m, n) -> (a*m + b*n, c*m + e*n) on every flat basis index d*m + n
+    m, n = np.divmod(np.arange(d * d), d)
+    a, b, c, e = (col[:, None] for col in np.concatenate(closure.layers).T)
+    images = d * ((a * m + b * n) % d) + (c * m + e * n) % d
+    return [Perm(row) for row in images.tolist()]
 
 
 def find_word(
@@ -275,7 +264,6 @@ def find_word(
     *,
     max_depth: int | None = None,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
-    workers: int = 1,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> SynthesisResult:
     """Shortest generator word equal to ``target``, or a certificate.
@@ -283,7 +271,8 @@ def find_word(
     FOUND words are the lexicographically least among shortest (CNOT1
     before CNOT2).  UNREACHABLE_EXHAUSTED is only reported after the whole
     closure was enumerated without meeting the target; a truncated search
-    reports DEPTH_LIMIT and claims nothing.
+    reports DEPTH_LIMIT and claims nothing.  A target that is not a linear
+    map is no matrix of the group, so its search never meets it.
     """
     _check_search_guards(d, max_dimension)
     if len(target) != d * d:
@@ -293,15 +282,14 @@ def find_word(
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     closure = _closure_bfs(
-        d, max_elements=max_elements, max_depth=max_depth, target=target, workers=workers
+        d, max_elements=max_elements, max_depth=max_depth, target=as_linear_map(target, d)
     )
     if closure.status == "found":
-        word = _word_from_records(closure.parents, closure.letters, closure.found_index, d)
-        return SynthesisResult(outcome=SearchOutcome.FOUND, word=word)
+        return SynthesisResult(outcome=SearchOutcome.FOUND, word=_word_from_records(closure, d))
     if closure.status == "complete":
         return SynthesisResult(
             outcome=SearchOutcome.UNREACHABLE_EXHAUSTED,
-            group_order=len(closure.rows),
+            group_order=closure.size,
             diameter=len(closure.counts_by_depth) - 1,
         )
     return SynthesisResult(
@@ -311,318 +299,11 @@ def find_word(
     )
 
 
-def bidirectional_find(
-    d: int,
-    target: Perm,
-    *,
-    max_total_depth: int | None = None,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-    workers: int = 1,
-    max_dimension: int = DEFAULT_MAX_DIMENSION,
-) -> SynthesisResult:
-    """Meet-in-the-middle variant of :func:`find_word`; same outcome contract.
-
-    Layers grow from the identity (appending letters) and from the target
-    (peeling letters off the end).  Once the two balls certify the shortest
-    length L, the witness is canonicalized post hoc so the returned word is
-    the same lexicographically least one ``find_word`` reports: the prefix
-    is the least recorded forward word whose endpoint lies at backward
-    distance L - k, and the suffix is rebuilt letter by letter against the
-    exact backward distance map.
-
-    Uncapped runs agree with ``find_word`` exactly.  Under a depth cap the
-    budget is split across both balls rather than spent on one, so a capped
-    run may complete the closure (and certify unreachability) where the
-    unidirectional search reports DEPTH_LIMIT, or vice versa; conclusive
-    outcomes are sound either way and identical whenever both are conclusive.
-    """
-    _check_search_guards(d, max_dimension)
-    if len(target) != d * d:
-        raise ValueError(
-            f"target on {len(target)} points does not match d*d = {d * d}"
-        )
-    if max_total_depth is not None and max_total_depth < 0:
-        raise ValueError("max_total_depth must be >= 0")
-
-    gen_imgs = _generator_images(d)
-    inv_imgs = []
-    for g in gen_imgs:
-        inv = np.empty_like(g)
-        inv[g] = np.arange(len(g), dtype=g.dtype)
-        inv_imgs.append(inv)
-
-    ident = np.arange(d * d, dtype=gen_imgs[0].dtype)
-    t_row = np.array(target.image, dtype=ident.dtype)
-    if np.array_equal(ident, t_row):
-        return SynthesisResult(outcome=SearchOutcome.FOUND, word=GateWord(d=d, letters=()))
-
-    f_rows = [ident]
-    f_parents = [-1]
-    f_letters = [-1]
-    f_index: dict[bytes, int] = {ident.tobytes(): 0}
-    f_depth: dict[bytes, int] = {ident.tobytes(): 0}
-    f_layers: list[list[int]] = [[0]]
-    f_frontier = [0]
-    f_complete = False
-
-    b_dist: dict[bytes, int] = {t_row.tobytes(): 0}
-    b_frontier = [t_row]
-    b_sealed = 0
-    b_complete = False
-
-    best = None  # shortest total length certified so far
-
-    def expand_forward() -> bool:
-        """Grow the forward ball by one layer; True if the element cap hit."""
-        nonlocal f_frontier, f_complete, best
-        depth = len(f_layers) - 1
-        mat = np.stack([f_rows[i] for i in f_frontier])
-        children = _expand_rows(gen_imgs, mat, workers)
-        new_frontier: list[int] = []
-        for pos, parent_idx in enumerate(f_frontier):
-            for li in range(len(gen_imgs)):
-                row = children[li][pos]
-                key = row.tobytes()
-                if key in f_index:
-                    continue
-                if len(f_rows) + len(b_dist) >= max_elements:
-                    return True
-                idx = len(f_rows)
-                f_index[key] = idx
-                f_depth[key] = depth + 1
-                f_rows.append(row.copy())
-                f_parents.append(parent_idx)
-                f_letters.append(li)
-                new_frontier.append(idx)
-                back = b_dist.get(key)
-                if back is not None:
-                    total = depth + 1 + back
-                    if best is None or total < best:
-                        best = total
-        if new_frontier:
-            f_layers.append(new_frontier)
-            f_frontier = new_frontier
-        else:
-            f_frontier = []
-            f_complete = True
-        return False
-
-    def expand_backward() -> bool:
-        nonlocal b_frontier, b_sealed, b_complete, best
-        depth = b_sealed
-        mat = np.stack(b_frontier)
-        children = _expand_rows(inv_imgs, mat, workers)
-        new_frontier: list[np.ndarray] = []
-        for pos in range(len(b_frontier)):
-            for li in range(len(inv_imgs)):
-                row = children[li][pos]
-                key = row.tobytes()
-                if key in b_dist:
-                    continue
-                if len(f_rows) + len(b_dist) >= max_elements:
-                    return True
-                b_dist[key] = depth + 1
-                new_frontier.append(row.copy())
-                fwd = f_depth.get(key)
-                if fwd is not None:
-                    total = fwd + depth + 1
-                    if best is None or total < best:
-                        best = total
-        if new_frontier:
-            b_sealed = depth + 1
-            b_frontier = new_frontier
-        else:
-            b_frontier = []
-            b_complete = True
-        return False
-
-    def sealed_forward() -> int:
-        return len(f_layers) - 1
-
-    def sealed_backward() -> int:
-        return b_sealed
-
-    capped = False
-    while True:
-        kf, jb = sealed_forward(), sealed_backward()
-        if best is not None and best <= kf + jb:
-            break
-        if f_complete:
-            break  # reachable iff best is set; no forward growth left
-        if b_complete and best is None:
-            break
-        if max_total_depth is not None and kf + jb >= max_total_depth:
-            break
-        go_forward = b_complete or len(f_frontier) <= len(b_frontier)
-        capped = expand_forward() if go_forward else expand_backward()
-        if capped:
-            break
-
-    if capped:
-        return SynthesisResult(
-            outcome=SearchOutcome.DEPTH_LIMIT,
-            explored_depth=sealed_forward() + sealed_backward(),
-            frontier_size=len(f_frontier) + len(b_frontier),
-        )
-
-    if best is None:
-        if max_total_depth is not None and not (f_complete or b_complete):
-            return SynthesisResult(
-                outcome=SearchOutcome.DEPTH_LIMIT,
-                explored_depth=sealed_forward() + sealed_backward(),
-                frontier_size=len(f_frontier) + len(b_frontier),
-            )
-        # one side closed with no meet: the target is outside the group.
-        # Finish the forward closure so the census is the group's own.
-        while not f_complete:
-            if expand_forward():
-                return SynthesisResult(
-                    outcome=SearchOutcome.DEPTH_LIMIT,
-                    explored_depth=sealed_forward() + sealed_backward(),
-                    frontier_size=len(f_frontier) + len(b_frontier),
-                )
-        return SynthesisResult(
-            outcome=SearchOutcome.UNREACHABLE_EXHAUSTED,
-            group_order=len(f_rows),
-            diameter=sealed_forward(),
-        )
-
-    if max_total_depth is not None and best > max_total_depth:
-        return SynthesisResult(
-            outcome=SearchOutcome.DEPTH_LIMIT,
-            explored_depth=sealed_forward() + sealed_backward(),
-            frontier_size=len(f_frontier) + len(b_frontier),
-        )
-
-    word = _canonical_met_word(
-        d, best, gen_imgs, f_rows, f_parents, f_letters, f_layers, b_dist
-    )
-    assert apply_word(word).image == target.image
-    return SynthesisResult(outcome=SearchOutcome.FOUND, word=word)
-
-
-def _canonical_met_word(
-    d: int,
-    total: int,
-    gen_imgs: list[np.ndarray],
-    f_rows: list[np.ndarray],
-    f_parents: list[int],
-    f_letters: list[int],
-    f_layers: list[list[int]],
-    b_dist: dict[bytes, int],
-) -> GateWord:
-    """Lexicographically least word of length ``total`` reaching the target.
-
-    Split at k = min(forward sealed depth, total).  Any shortest word's
-    length-k prefix is a recorded forward geodesic ending at backward
-    distance total - k, so the least valid prefix is the minimum of those
-    records; the suffix is then chosen greedily against exact backward
-    distances.
-    """
-    k = min(len(f_layers) - 1, total)
-    j = total - k
-
-    def int_word(idx: int) -> tuple[int, ...]:
-        out = []
-        while idx > 0:
-            out.append(f_letters[idx])
-            idx = f_parents[idx]
-        return tuple(reversed(out))
-
-    candidates = [
-        (int_word(idx), idx)
-        for idx in f_layers[k]
-        if b_dist.get(f_rows[idx].tobytes()) == j
-    ]
-    prefix, start_idx = min(candidates)
-
-    letters = list(prefix)
-    cur = f_rows[start_idx]
-    for remaining in range(j, 0, -1):
-        for li in range(len(gen_imgs)):
-            child = gen_imgs[li][cur]
-            if b_dist.get(child.tobytes()) == remaining - 1:
-                letters.append(li)
-                cur = child
-                break
-        else:
-            raise AssertionError("backward distance map lost the geodesic")
-    return GateWord(d=d, letters=tuple(GENERATORS[li] for li in letters))
-
-
 def census_payload(census: GroupCensus) -> dict:
-    """The census as plain JSON data; shared by the CLI and the cache file."""
+    """The census as plain JSON data, as the CLI emits it."""
     return {
         "d": census.d,
         "order": census.order,
         "diameter": census.diameter,
         "counts_by_depth": list(census.counts_by_depth),
     }
-
-
-def _census_cache_path(cache_dir: Path, d: int) -> Path:
-    return cache_dir / f"census-d{d}-{GENERATOR_SET_VERSION}.json"
-
-
-def _artifact_version() -> str:
-    from cnotswap import __version__
-
-    return __version__
-
-
-def _load_cached_census(cache_dir: Path, d: int, max_elements: int) -> GroupCensus | None:
-    path = _census_cache_path(cache_dir, d)
-    if not path.exists():
-        return None
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        logger.warning("ignoring unreadable census cache %s: %s", path, exc)
-        return None
-    header_ok = (
-        isinstance(data, dict)
-        and data.get("format") == CENSUS_CACHE_FORMAT
-        and data.get("version") == _artifact_version()
-        and data.get("generators") == GENERATOR_SET_VERSION
-        and data.get("d") == d
-    )
-    if not header_ok:
-        logger.warning("ignoring census cache %s: header mismatch", path)
-        return None
-    try:
-        payload = data["census"]
-        census = GroupCensus(
-            d=int(payload["d"]),
-            order=int(payload["order"]),
-            diameter=int(payload["diameter"]),
-            counts_by_depth=tuple(int(c) for c in payload["counts_by_depth"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        logger.warning("ignoring malformed census cache %s: %s", path, exc)
-        return None
-    if (
-        census.d != d
-        or census.order != sum(census.counts_by_depth)
-        or not census.counts_by_depth
-        or census.counts_by_depth[0] != 1
-        or census.diameter != len(census.counts_by_depth) - 1
-    ):
-        logger.warning("ignoring inconsistent census cache %s", path)
-        return None
-    if census.order > max_elements:
-        # cached run used a larger cap; honor the caller's cap by recomputing
-        return None
-    return census
-
-
-def _store_census(cache_dir: Path, census: GroupCensus) -> None:
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    data = {
-        "format": CENSUS_CACHE_FORMAT,
-        "version": _artifact_version(),
-        "generators": GENERATOR_SET_VERSION,
-        "d": census.d,
-        "census": census_payload(census),
-    }
-    path = _census_cache_path(cache_dir, census.d)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

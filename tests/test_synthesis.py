@@ -1,6 +1,4 @@
 import itertools
-import json
-import logging
 import random
 
 import pytest
@@ -8,12 +6,13 @@ import pytest
 from cnotswap.gates import GateKind, as_linear_map, cnot1_perm, cnot2_perm, swap_perm
 from cnotswap.perm import CostGuardError, Perm
 from cnotswap.synthesis import (
+    DEFAULT_MAX_ELEMENTS,
     GateWord,
     GroupCensus,
     GroupTooLarge,
     SearchOutcome,
+    SynthesisResult,
     apply_word,
-    bidirectional_find,
     census_payload,
     enumerate_group,
     find_word,
@@ -37,14 +36,78 @@ def eval_letters(d, letters):
 
 
 def naive_closure(d):
-    """Independent oracle: repeated multiplication until no new elements."""
+    """Independent oracle: repeated multiplication until no new elements.
+
+    Returns the layers: layer k holds the elements first reached after k
+    multiplications, that is the elements whose shortest word has length k.
+    """
     gens = [cnot1_perm(d), cnot2_perm(d)]
     elems = {Perm.identity(d * d)}
+    layers = [set(elems)]
     while True:
         grown = elems | {g * x for g in gens for x in elems}
         if grown == elems:
-            return elems
+            return layers
+        layers.append(grown - elems)
         elems = grown
+
+
+def reference_search(d, target=None, *, max_depth=None, max_elements=DEFAULT_MAX_ELEMENTS):
+    """Independent oracle: the one-element-at-a-time breadth-first search
+    over image tables, in insertion order with CNOT1 before CNOT2.
+
+    Returns the ``SynthesisResult`` for ``target``, and the census (or the
+    element count at the cap) for a search without one.
+    """
+    gens = [(C1, cnot1_perm(d)), (C2, cnot2_perm(d))]
+    ident = Perm.identity(d * d)
+    words = {ident: ()}
+    if target == ident:
+        return SynthesisResult(SearchOutcome.FOUND, word=word(d))
+    frontier, counts, depth = [ident], [1], 0
+    while frontier:
+        capped = max_depth is not None and depth >= max_depth
+        new = []
+        for parent in [] if capped else frontier:
+            for letter, gate in gens:
+                child = gate * parent
+                if child in words:
+                    continue
+                if len(words) >= max_elements:
+                    capped = True
+                    break
+                words[child] = words[parent] + (letter,)
+                new.append(child)
+                if child == target:
+                    return SynthesisResult(SearchOutcome.FOUND, word=word(d, *words[child]))
+            if capped:
+                break
+        if capped:
+            if target is None:
+                return GroupTooLarge(d=d, max_elements=max_elements, elements_found=len(words))
+            return SynthesisResult(
+                SearchOutcome.DEPTH_LIMIT, explored_depth=depth, frontier_size=len(frontier)
+            )
+        if new:
+            counts.append(len(new))
+        frontier, depth = new, depth + 1
+    if target is None:
+        return GroupCensus(d=d, order=len(words), diameter=len(counts) - 1,
+                           counts_by_depth=tuple(counts))
+    return SynthesisResult(
+        SearchOutcome.UNREACHABLE_EXHAUSTED, group_order=len(words), diameter=len(counts) - 1
+    )
+
+
+def brute_force_least_words(d, order):
+    """First word of each element in (length, lexicographic) order, CNOT1 < CNOT2."""
+    least = {}
+    length = 0
+    while len(least) < order:
+        for letters in itertools.product([C1, C2], repeat=length):
+            least.setdefault(eval_letters(d, letters), letters)
+        length += 1
+    return least
 
 
 def sl2_order(d):
@@ -127,7 +190,15 @@ def test_enumerate_qutrit_group():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_order_matches_naive_closure(d):
-    assert enumerate_group(d).order == len(naive_closure(d))
+    assert enumerate_group(d).order == sum(len(layer) for layer in naive_closure(d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_layer_counts_match_naive_closure(d):
+    layers = naive_closure(d)
+    census = enumerate_group(d)
+    assert census.counts_by_depth == tuple(len(layer) for layer in layers)
+    assert census.diameter == len(layers) - 1
 
 
 @pytest.mark.parametrize("d", range(1, 11))
@@ -148,6 +219,31 @@ def test_cap_equal_to_order_still_completes():
     census = enumerate_group(2, max_elements=6)
     assert isinstance(census, GroupCensus)
     assert census.order == 6
+    for d in (1, 3, 5, 8):
+        order = enumerate_group(d).order
+        assert enumerate_group(d, max_elements=order) == enumerate_group(d)
+        outcome = find_word(d, swap_perm(d), max_elements=order).outcome
+        assert outcome is (SearchOutcome.FOUND if d == 1 else SearchOutcome.UNREACHABLE_EXHAUSTED)
+        if order > 1:
+            capped = enumerate_group(d, max_elements=order - 1)
+            assert capped == GroupTooLarge(d=d, max_elements=order - 1, elements_found=order - 1)
+
+
+@pytest.mark.parametrize("d,k", [(3, 2), (3, 4), (3, 7), (3, 12), (3, 20),
+                                 (5, 3), (5, 10), (5, 30), (5, 60), (5, 119)])
+def test_element_cap_mid_layer_stops_at_exactly_the_cap(d, k):
+    counts = enumerate_group(d).counts_by_depth
+    boundaries = {sum(counts[:i]) for i in range(1, len(counts) + 1)}
+    result = enumerate_group(d, max_elements=k)
+    assert result == GroupTooLarge(d=d, max_elements=k, elements_found=k)
+    if k not in boundaries:
+        # the cap fired inside the layer being filled, while expanding the
+        # frontier one layer above it
+        filling = next(i for i in range(len(counts)) if sum(counts[:i + 1]) > k)
+        capped = find_word(d, swap_perm(d), max_elements=k)
+        assert capped.outcome is SearchOutcome.DEPTH_LIMIT
+        assert capped.explored_depth == filling - 1
+        assert capped.frontier_size == counts[filling - 1]
 
 
 def test_dimension_guard_is_overridable():
@@ -238,6 +334,20 @@ def test_find_word_element_cap_is_inconclusive():
     assert result.outcome is SearchOutcome.DEPTH_LIMIT
 
 
+def test_target_met_inside_the_layer_before_the_cap_fires():
+    # the cap only fires when a new element would exceed it, so a target
+    # that is the first element of its layer still counts as found
+    capped = find_word(3, cnot1_perm(3), max_elements=1)
+    assert capped.outcome is SearchOutcome.DEPTH_LIMIT
+    assert (capped.explored_depth, capped.frontier_size) == (0, 1)
+    found = find_word(3, cnot1_perm(3), max_elements=2)
+    assert found.outcome is SearchOutcome.FOUND
+    assert found.word.letters == (C1,)
+    # CNOT2 is the second element of layer 1, so it needs room for three
+    assert find_word(3, cnot2_perm(3), max_elements=2).outcome is SearchOutcome.DEPTH_LIMIT
+    assert find_word(3, cnot2_perm(3), max_elements=3).word.letters == (C2,)
+
+
 def test_find_word_size_mismatch():
     with pytest.raises(ValueError):
         find_word(2, Perm.identity(9))
@@ -264,104 +374,41 @@ def test_qubit_depths_match_brute_force():
 
 
 def test_found_words_are_lexicographically_least():
-    # recompute the least witness for each d = 2 element by brute force
-    order = {C1: 0, C2: 1}
-    for p in group_elements(2):
-        result = find_word(2, p)
-        length = len(result.word)
-        witnesses = [
-            letters
-            for letters in itertools.product([C1, C2], repeat=length)
-            if eval_letters(2, letters) == p
-        ]
-        least = min(witnesses, key=lambda w: [order[l] for l in w])
-        assert result.word.letters == least
-
-
-# -- determinism --
-
-
-def test_enumerate_is_deterministic_across_runs_and_workers():
-    base = enumerate_group(5)
-    assert enumerate_group(5) == base
-    assert enumerate_group(5, workers=2) == base
-    assert enumerate_group(5, workers=3) == base
-
-
-def test_find_word_deterministic_across_workers():
-    base = find_word(4, cnot2_perm(4) * cnot1_perm(4))
-    again = find_word(4, cnot2_perm(4) * cnot1_perm(4), workers=2)
-    assert base == again
-
-
-def test_workers_identical_once_chunking_kicks_in():
-    # d = 7 frontiers exceed the 64-row threshold, so threads really split
-    base = enumerate_group(7)
-    assert max(base.counts_by_depth) > 64
-    assert enumerate_group(7, workers=3) == base
-    serial = find_word(7, swap_perm(7))
-    assert find_word(7, swap_perm(7), workers=3) == serial
-
-
-# -- bidirectional search --
-
-
-def test_bidirectional_matches_unidirectional_on_swap():
-    for d in (1, 2, 3, 4, 5):
-        uni = find_word(d, swap_perm(d))
-        bi = bidirectional_find(d, swap_perm(d))
-        assert bi.outcome is uni.outcome
-        assert bi.word == uni.word
-        assert bi.group_order == uni.group_order
-        assert bi.diameter == uni.diameter
-
-
-def test_bidirectional_matches_on_group_elements():
-    rng = random.Random(20260810)
-    for d in (2, 3, 4, 5):
+    # recompute the least witness of every element by brute force
+    for d in range(2, 7):
         elems = group_elements(d)
-        targets = [elems[0], elems[-1]] + rng.sample(elems, min(10, len(elems)))
-        for target in targets:
-            uni = find_word(d, target)
-            bi = bidirectional_find(d, target)
-            assert uni.outcome is SearchOutcome.FOUND
-            assert bi.outcome is SearchOutcome.FOUND
-            assert bi.word == uni.word
-            assert apply_word(bi.word) == target
+        least = brute_force_least_words(d, len(elems))
+        assert set(least) == set(elems)
+        for p in elems:
+            result = find_word(d, p)
+            assert result.outcome is SearchOutcome.FOUND
+            assert result.word.letters == least[p]
 
 
-def test_bidirectional_matches_on_unreachable_targets():
-    odd_target = Perm([1, 0] + list(range(2, 9)))
-    uni = find_word(3, odd_target)
-    bi = bidirectional_find(3, odd_target)
-    assert uni.outcome is bi.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED
-    assert (bi.group_order, bi.diameter) == (uni.group_order, uni.diameter)
+@pytest.mark.parametrize("d", range(1, 9))
+def test_matrix_search_matches_image_table_reference(d):
+    census = reference_search(d)
+    assert enumerate_group(d) == census
+    elems = group_elements(d)
+    odd = Perm([1, 0] + list(range(2, d * d))) if d > 1 else Perm([0])
+    targets = [swap_perm(d), odd] + elems[:: max(1, census.order // 8)]
+    depth_caps = sorted({0, 1, census.diameter // 2, census.diameter})
+    element_caps = sorted({1, 2, census.order // 3, census.order - 1, census.order})
+    for cap in element_caps:
+        assert enumerate_group(d, max_elements=cap) == reference_search(d, max_elements=cap)
+    for target in targets:
+        assert find_word(d, target) == reference_search(d, target)
+        for cap in depth_caps:
+            assert (find_word(d, target, max_depth=cap)
+                    == reference_search(d, target, max_depth=cap))
+        for cap in element_caps:
+            assert (find_word(d, target, max_elements=cap)
+                    == reference_search(d, target, max_elements=cap))
 
 
-def test_bidirectional_identity_at_depth_zero():
-    result = bidirectional_find(3, Perm.identity(9), max_total_depth=0)
-    assert result.outcome is SearchOutcome.FOUND
-    assert result.word.letters == ()
-
-
-def test_bidirectional_depth_limit():
-    capped = bidirectional_find(2, swap_perm(2), max_total_depth=2)
-    assert capped.outcome is SearchOutcome.DEPTH_LIMIT
-    exact = bidirectional_find(2, swap_perm(2), max_total_depth=3)
-    assert exact.outcome is SearchOutcome.FOUND
-    assert exact.word.letters == (C1, C2, C1)
-
-
-def test_bidirectional_element_cap_is_inconclusive():
-    result = bidirectional_find(3, swap_perm(3), max_elements=5)
-    assert result.outcome is SearchOutcome.DEPTH_LIMIT
-
-
-def test_capped_searches_agree_whenever_both_conclude():
-    # the two searches split a depth budget differently, so one may be
-    # conclusive where the other is not; conclusive answers must coincide
-    # and every one of them must be independently true
-    rng = random.Random(3141)
+def test_capped_searches_are_true_whenever_conclusive():
+    # a depth cap may leave a search inconclusive, but every conclusive
+    # answer must be independently true
     for d in (2, 3):
         elems = group_elements(d)
         true_dist = {}
@@ -371,89 +418,15 @@ def test_capped_searches_agree_whenever_both_conclude():
         targets = elems + [odd]
         for target in targets:
             for cap in (0, 1, 2, 3, 5, 8):
-                uni = find_word(d, target, max_depth=cap)
-                bi = bidirectional_find(d, target, max_total_depth=cap)
-                for res in (uni, bi):
-                    if res.outcome is SearchOutcome.FOUND:
-                        assert target in true_dist
-                        assert len(res.word) == true_dist[target] <= cap
-                        assert apply_word(res.word) == target
-                    elif res.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED:
-                        assert target not in true_dist
-                if (uni.outcome is not SearchOutcome.DEPTH_LIMIT
-                        and bi.outcome is not SearchOutcome.DEPTH_LIMIT):
-                    assert uni.outcome is bi.outcome
-                    assert uni.word == bi.word
-
-
-def test_bidirectional_size_mismatch():
-    with pytest.raises(ValueError):
-        bidirectional_find(2, Perm.identity(9))
-
-
-# -- census cache --
-
-
-def test_cache_round_trip(tmp_path):
-    first = enumerate_group(3, cache_dir=tmp_path)
-    files = list(tmp_path.glob("census-d3-*.json"))
-    assert len(files) == 1
-    stored = files[0].read_bytes()
-    second = enumerate_group(3, cache_dir=tmp_path)
-    assert second == first
-    assert files[0].read_bytes() == stored
-    # a cached census must be bit-identical to recomputation
-    assert first == enumerate_group(3)
-
-
-def test_cache_rewrite_is_byte_stable(tmp_path):
-    enumerate_group(3, cache_dir=tmp_path)
-    path = next(tmp_path.glob("census-d3-*.json"))
-    stored = path.read_bytes()
-    path.unlink()
-    enumerate_group(3, cache_dir=tmp_path)
-    assert path.read_bytes() == stored
-
-
-def test_corrupt_cache_is_ignored_with_warning(tmp_path, caplog):
-    enumerate_group(3, cache_dir=tmp_path)
-    path = next(tmp_path.glob("census-d3-*.json"))
-    path.write_text("{not json")
-    with caplog.at_level(logging.WARNING, logger="cnotswap.synthesis"):
-        census = enumerate_group(3, cache_dir=tmp_path)
-    assert census.order == 24
-    assert any("cache" in rec.message for rec in caplog.records)
-    # the bad file was replaced by a fresh valid one
-    assert json.loads(path.read_text())["census"]["order"] == 24
-
-
-def test_version_mismatched_cache_is_ignored(tmp_path, caplog):
-    enumerate_group(3, cache_dir=tmp_path)
-    path = next(tmp_path.glob("census-d3-*.json"))
-    data = json.loads(path.read_text())
-    data["version"] = "0.0.0-other"
-    path.write_text(json.dumps(data))
-    with caplog.at_level(logging.WARNING, logger="cnotswap.synthesis"):
-        census = enumerate_group(3, cache_dir=tmp_path)
-    assert census.order == 24
-    assert any("mismatch" in rec.message for rec in caplog.records)
-
-
-def test_tampered_census_payload_is_ignored(tmp_path, caplog):
-    enumerate_group(3, cache_dir=tmp_path)
-    path = next(tmp_path.glob("census-d3-*.json"))
-    data = json.loads(path.read_text())
-    data["census"]["order"] = 23  # no longer matches the layer counts
-    path.write_text(json.dumps(data))
-    with caplog.at_level(logging.WARNING, logger="cnotswap.synthesis"):
-        census = enumerate_group(3, cache_dir=tmp_path)
-    assert census.order == 24
-
-
-def test_cached_run_with_smaller_cap_recomputes(tmp_path):
-    enumerate_group(3, cache_dir=tmp_path)
-    result = enumerate_group(3, cache_dir=tmp_path, max_elements=10)
-    assert isinstance(result, GroupTooLarge)
+                res = find_word(d, target, max_depth=cap)
+                if res.outcome is SearchOutcome.FOUND:
+                    assert target in true_dist
+                    assert len(res.word) == true_dist[target] <= cap
+                    assert apply_word(res.word) == target
+                elif res.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED:
+                    assert target not in true_dist
+                else:
+                    assert true_dist.get(target, cap + 1) > cap
 
 
 def test_census_payload_schema():
