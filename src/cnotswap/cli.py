@@ -10,7 +10,7 @@ stderr.  Exit codes are a total function of the result variant:
     2  search stopped by a depth or element cap, inconclusive
     3  group larger than the element cap
     64 usage error
-    65 cost guard exceeded
+    65 cost guard exceeded, or memory ran out
 """
 
 from __future__ import annotations
@@ -306,6 +306,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except CostGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError as exc:  # the guards let through a run too large to allocate
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_GUARD
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .perm import Perm
 
 
@@ -45,22 +47,43 @@ def basis_digits(d: int, flat: int) -> tuple[int, int]:
     return divmod(flat, d)
 
 
+def _basis_digit_grid(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digits m (a column) and n (a row) of the basis states.
+
+    Expressions in them broadcast to d x d tables indexed [m, n], which
+    ravel in flat-index order d*m + n without holding two full digit arrays.
+    """
+    _check_dimension(d)
+    digits = np.arange(d, dtype=np.int64)
+    return digits[:, None], digits[None, :]
+
+
+def _linear_images(d: int, a, b, c, e) -> np.ndarray:
+    """Image tables of (m, n) -> (a*m + b*n, c*m + e*n) mod d, shape (..., d, d).
+
+    Scalar coefficients give one table; coefficient arrays of shape (k, 1, 1)
+    give one per map.
+    """
+    m, n = _basis_digit_grid(d)
+    return d * ((a * m + b * n) % d) + (c * m + e * n) % d
+
+
 def cnot1_perm(d: int) -> Perm:
     """(m, n) -> (m, n + m mod d); control on the first system."""
-    _check_dimension(d)
-    return Perm(d * m + (n + m) % d for m in range(d) for n in range(d))
+    m, n = _basis_digit_grid(d)
+    return Perm((d * m + (n + m) % d).ravel())
 
 
 def cnot2_perm(d: int) -> Perm:
     """(m, n) -> (m + n mod d, n); control on the second system."""
-    _check_dimension(d)
-    return Perm(d * ((m + n) % d) + n for m in range(d) for n in range(d))
+    m, n = _basis_digit_grid(d)
+    return Perm((d * ((m + n) % d) + n).ravel())
 
 
 def swap_perm(d: int) -> Perm:
     """(m, n) -> (n, m); an involution fixing the d diagonal states."""
-    _check_dimension(d)
-    return Perm(d * n + m for m in range(d) for n in range(d))
+    m, n = _basis_digit_grid(d)
+    return Perm((d * n + m).ravel())
 
 
 _GATE_BUILDERS = {
@@ -108,8 +131,4 @@ def as_linear_map(p: Perm, d: int) -> LinearMap2 | None:
     a, c = basis_digits(d, p(basis_index(d, 1, 0)))
     b, e = basis_digits(d, p(basis_index(d, 0, 1)))
     candidate = LinearMap2(d, a, b, c, e)
-    for flat in range(d * d):
-        m, n = divmod(flat, d)
-        if basis_index(d, *candidate.apply(m, n)) != p(flat):
-            return None
-    return candidate
+    return candidate if np.array_equal(_linear_images(d, a, b, c, e).ravel(), p.table) else None

@@ -1,16 +1,20 @@
 """Exact permutation algebra on the points {0..n-1}.
 
 Permutations are stored as image tables: ``image[i]`` is where point ``i``
-goes.  Composition follows the convention (p * q)(i) = p(q(i)), i.e. the
-right factor acts first.  Everything here is exact integer arithmetic;
-the determinant routine deliberately avoids the parity shortcut so it can
-serve as an independent cross-check of ``signature``.
+goes, held as one read-only int64 numpy array so every operation runs as
+whole-array arithmetic.  Composition follows the convention
+(p * q)(i) = p(q(i)), i.e. the right factor acts first.  Everything here is
+exact integer arithmetic; the determinant routine deliberately avoids the
+parity shortcut so it can serve as an independent cross-check of
+``signature``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 CycleType = tuple[int, ...]
 
@@ -24,34 +28,48 @@ class CostGuardError(ValueError):
 class Perm:
     """A bijection on {0..n-1}, immutable and hashable.
 
-    The constructor validates bijectivity, so every live instance is a
-    genuine permutation.  All operations return new objects.
+    The constructor copies its input and validates bijectivity, so every
+    live instance is a genuine permutation.  All operations return new
+    objects.
     """
 
-    __slots__ = ("_image",)
+    __slots__ = ("_image", "_cycle_lengths")
 
     def __init__(self, image: Iterable[int]):
-        img = tuple(int(v) for v in image)
+        if not isinstance(image, np.ndarray):
+            image = list(image)
+        try:
+            img = np.array(image, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"image value outside int64: {exc}") from None
+        if img.ndim != 1:
+            raise ValueError(f"image must be one-dimensional, got shape {img.shape}")
         n = len(img)
         if n == 0:
             raise ValueError("a permutation needs at least one point")
-        seen = bytearray(n)
-        for v in img:
-            if not 0 <= v < n:
-                raise ValueError(f"image value {v} outside 0..{n - 1}")
-            if seen[v]:
-                raise ValueError(f"image value {v} repeated; not a bijection")
-            seen[v] = 1
+        outside = (img < 0) | (img >= n)
+        if outside.any():
+            raise ValueError(f"image value {img[outside.argmax()]} outside 0..{n - 1}")
+        repeated = np.bincount(img, minlength=n) > 1
+        if repeated.any():
+            raise ValueError(f"image value {repeated.argmax()} repeated; not a bijection")
+        img.flags.writeable = False
         self._image = img
+        self._cycle_lengths = None
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
         if n < 1:
             raise ValueError(f"invalid size {n}; need at least one point")
-        return cls(range(n))
+        return cls(np.arange(n))
 
     @property
     def image(self) -> tuple[int, ...]:
+        return tuple(self._image.tolist())
+
+    @property
+    def table(self) -> np.ndarray:
+        """The image table itself, as a read-only int64 array (no copy)."""
         return self._image
 
     @property
@@ -62,21 +80,21 @@ class Perm:
         return len(self._image)
 
     def __call__(self, point: int) -> int:
-        return self._image[point]
+        return int(self._image[point])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._image)
+        return iter(self._image.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Perm):
             return NotImplemented
-        return self._image == other._image
+        return np.array_equal(self._image, other._image)
 
     def __hash__(self) -> int:
-        return hash(self._image)
+        return hash(self._image.tobytes())
 
     def __repr__(self) -> str:
-        return f"Perm({list(self._image)})"
+        return f"Perm({self._image.tolist()})"
 
     def __mul__(self, other: "Perm") -> "Perm":
         """Compose: (self * other)(i) = self(other(i)); ``other`` acts first."""
@@ -84,20 +102,18 @@ class Perm:
             raise ValueError(
                 f"size mismatch: cannot compose permutations on {len(self)} and {len(other)} points"
             )
-        simg = self._image
-        return Perm(simg[v] for v in other._image)
+        return Perm(self._image[other._image])
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self._image)
-        for i, v in enumerate(self._image):
-            inv[v] = i
+        inv = np.empty_like(self._image)
+        inv[self._image] = np.arange(len(inv))
         return Perm(inv)
 
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self._image))
+        return np.array_equal(self._image, np.arange(len(self._image)))
 
     def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self._image) if i == v)
+        return tuple(np.flatnonzero(self._image == np.arange(len(self._image))).tolist())
 
     def cycles(self) -> list[list[int]]:
         """Disjoint cycles covering all points, fixed points included.
@@ -105,7 +121,7 @@ class Perm:
         Canonical form: each cycle starts at its minimal point and cycles
         are sorted by starting point (scanning points in order gives both).
         """
-        img = self._image
+        img = self._image.tolist()
         visited = bytearray(len(img))
         out: list[list[int]] = []
         for start in range(len(img)):
@@ -120,23 +136,37 @@ class Perm:
             out.append(cycle)
         return out
 
-    def _cycle_count(self) -> int:
-        img = self._image
-        visited = bytearray(len(img))
-        count = 0
-        for start in range(len(img)):
-            if visited[start]:
-                continue
-            count += 1
-            j = start
-            while not visited[j]:
-                visited[j] = 1
-                j = img[j]
-        return count
+    def _sorted_cycle_lengths(self) -> np.ndarray:
+        """Cycle lengths, ascending; computed once per (immutable) instance.
+
+        Every point is labelled with the least point on its cycle by pointer
+        doubling: after round k, ``label[i]`` is the least of the 2**k points
+        i, p(i), ..., p^(2**k - 1)(i) and ``step`` is p^(2**k).  A round that
+        changes no label ends the loop: then every window of 2**k points has
+        the minimum of the window 2**k further on, and walking around the
+        cycle in steps of 2**k shows all those windows, which together cover
+        the cycle, share one minimum.  A cycle of length l therefore costs
+        about log2(l) + 1 rounds.  The cycle count is the number of points
+        labelled with themselves, and the length of each cycle is how many
+        points carry its label.
+        """
+        if self._cycle_lengths is None:
+            step = self._image
+            label = np.arange(len(step))
+            while True:
+                lower = label[step]
+                np.minimum(lower, label, out=lower)
+                if np.array_equal(lower, label):
+                    break
+                label = lower
+                step = step[step]
+            roots = np.flatnonzero(label == np.arange(len(label)))
+            self._cycle_lengths = np.sort(np.bincount(label)[roots])
+        return self._cycle_lengths
 
     def cycle_type(self) -> CycleType:
         """Multiset of cycle lengths, ascending, summing to n."""
-        return tuple(sorted(len(c) for c in self.cycles()))
+        return tuple(self._sorted_cycle_lengths().tolist())
 
     def signature(self) -> int:
         """+1 for even permutations, -1 for odd.
@@ -144,11 +174,11 @@ class Perm:
         Computed as (-1)**(n - c) with c the number of cycles, fixed points
         included; each length-l cycle contributes l - 1 transpositions.
         """
-        return -1 if (len(self._image) - self._cycle_count()) % 2 else 1
+        return -1 if (len(self._image) - len(self._sorted_cycle_lengths())) % 2 else 1
 
     def to_matrix(self) -> "PermMatrix":
         """Matrix with entries[j][i] = 1 exactly when this maps i to j."""
-        inv = self.inverse()._image
+        inv = self.inverse()._image.tolist()
         n = len(inv)
         rows = tuple(
             tuple(1 if i == inv[j] else 0 for i in range(n)) for j in range(n)

@@ -24,7 +24,9 @@ from enum import Enum
 
 import numpy as np
 
-from .gates import GENERATORS, GateKind, LinearMap2, as_linear_map, gate_perm, _check_dimension
+from .gates import (
+    GENERATORS, GateKind, LinearMap2, as_linear_map, gate_perm, _check_dimension, _linear_images,
+)
 from .perm import CostGuardError, Perm
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
@@ -251,11 +253,8 @@ def group_elements(
         raise CostGuardError(
             f"group at d = {d} exceeds the {max_elements}-element cap"
         )
-    # (m, n) -> (a*m + b*n, c*m + e*n) on every flat basis index d*m + n
-    m, n = np.divmod(np.arange(d * d), d)
-    a, b, c, e = (col[:, None] for col in np.concatenate(closure.layers).T)
-    images = d * ((a * m + b * n) % d) + (c * m + e * n) % d
-    return [Perm(row) for row in images.tolist()]
+    a, b, c, e = (col[:, None, None] for col in np.concatenate(closure.layers).T)
+    return [Perm(table.ravel()) for table in _linear_images(d, a, b, c, e)]
 
 
 def find_word(

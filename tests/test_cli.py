@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -232,7 +233,43 @@ def test_guard_errors_exit_65(run_cli):
         assert "guard" in err
 
 
+def test_allocation_failure_exits_65_without_traceback(run_cli, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.54 GiB")
+
+    monkeypatch.setattr("cnotswap.cli.enumerate_group", out_of_memory)
+    monkeypatch.setattr("cnotswap.cli.find_word", out_of_memory)
+    for argv in (["group", "--d", "3"], ["synth", "--d", "3", "--json"]):
+        code, out, err = run_cli(*argv)
+        assert code == 65
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 # -- output discipline --
+
+
+# sha256 of stdout and the exit code at the largest guarded dimension,
+# recorded from the pure-Python image tables before they became numpy arrays
+@pytest.mark.parametrize("argv,code_expected,sha256", [
+    (["decide", "--d", "999", "--json"], 1,
+     "13383fb52d4e9259e0380da9c4674a5b2e5e8d02acafb5276fa92180d1823e43"),
+    (["decide", "--d", "1000", "--json"], 0,
+     "95b0426649a98fe58539d5650d120fef8df4a13ebd85901236c86aa7f823b611"),
+    (["analyze", "--gate", "cnot1", "--d", "1000", "--json"], 0,
+     "23490637a571a6b8ce12b60af15ede2f1c4000b9836899759bb2e6a7a511c822"),
+    (["analyze", "--gate", "cnot2", "--d", "1000", "--json"], 0,
+     "66169350996db5d22bbd542647657ecb5d81e1f8ee20c7661f6f0ce305d431b2"),
+    (["analyze", "--gate", "swap", "--d", "1000", "--json"], 0,
+     "dc48c4d7d62e8d74ceac03cf7c366ae9866e6e1006269c8d9ce3457b9e58e08b"),
+])
+def test_golden_bytes_at_the_guard_bound(run_cli, argv, code_expected, sha256):
+    code, out, _ = run_cli(*argv)
+    assert code == code_expected
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 
 
 def test_json_reports_round_trip_bytes(run_cli):

@@ -152,6 +152,17 @@ def test_composite_dimension_cnot_cycle_type_is_computed():
         assert list(cnot1_perm(d).cycle_type()) == expected
 
 
+@pytest.mark.parametrize("d", [96, 97, 100, 128])
+def test_gate_cycle_types_match_the_closed_form(d):
+    # control value m: gcd(m, d) cycles of length d / gcd(m, d), gcd(0, d) = d
+    cnot = tuple(sorted(d // gcd(m, d) for m in range(d) for _ in range(gcd(m, d))))
+    assert cnot1_perm(d).cycle_type() == cnot
+    assert cnot2_perm(d).cycle_type() == cnot
+    # d fixed points and d(d-1)/2 transpositions
+    assert swap_perm(d).cycle_type() == (1,) * d + (2,) * (d * (d - 1) // 2)
+    assert swap_perm(d).signature() == (-1 if (d * (d - 1) // 2) % 2 else 1)
+
+
 @pytest.mark.parametrize("d", range(1, 21))
 def test_cnot2_is_swap_conjugate_of_cnot1(d):
     s = swap_perm(d)
@@ -197,6 +208,40 @@ def test_origin_fixing_nonlinear_perm_is_rejected():
     img = list(range(9))
     img[1], img[2], img[3] = 2, 3, 1  # 3-cycle on basis states 1, 2, 3
     assert as_linear_map(Perm(img), 3) is None
+
+
+def per_point_linear_map(p, d):
+    """Test-local oracle: the candidate checked one basis state at a time."""
+    if p(0) != 0:
+        return None
+    if d == 1:
+        return LinearMap2(1, 0, 0, 0, 0)
+    a, c = divmod(p(1 * d), d)
+    b, e = divmod(p(1), d)
+    candidate = LinearMap2(d, a, b, c, e)
+    for flat in range(d * d):
+        if basis_index(d, *candidate.apply(*divmod(flat, d))) != p(flat):
+            return None
+    return candidate
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_linear_map_recovery_matches_a_per_point_check(d):
+    # every group element, and each of them with its last two images swapped;
+    # for d >= 3 that keeps the images of (1, 0) and (0, 1), so the change is
+    # caught only at the end of the table
+    from cnotswap.synthesis import group_elements
+
+    for g in group_elements(d):
+        assert per_point_linear_map(g, d) is not None
+        assert as_linear_map(g, d) == per_point_linear_map(g, d)
+        if d > 1:
+            img = list(g.image)
+            img[-1], img[-2] = img[-2], img[-1]
+            changed = Perm(img)
+            assert as_linear_map(changed, d) == per_point_linear_map(changed, d)
+            if d >= 3:
+                assert as_linear_map(changed, d) is None
 
 
 def test_linear_map_size_mismatch():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,30 @@ def reconstruct_from_cycles(n, cycles):
     return Perm(img)
 
 
+def walk_cycle_lengths(image):
+    """Test-local oracle: cycle lengths by following each unvisited point."""
+    seen = [False] * len(image)
+    lengths = []
+    for start in range(len(image)):
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = image[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def single_cycle(order):
+    """The permutation sending order[k] to order[k + 1], cyclically."""
+    img = [0] * len(order)
+    for a, b in zip(order, order[1:] + order[:1]):
+        img[a] = b
+    return Perm(img)
+
+
 # -- construction and validation --
 
 
@@ -57,6 +82,59 @@ def test_rejects_non_bijections():
 @given(perms())
 def test_image_is_always_a_bijection(p):
     assert sorted(p.image) == list(range(len(p)))
+
+
+def test_every_input_kind_gives_the_same_perm():
+    points = [2, 0, 3, 1]
+    built = [
+        Perm(points),
+        Perm(tuple(points)),
+        Perm(v for v in points),
+        Perm(np.array(points)),
+        Perm(np.array(points, dtype=np.int32)),
+    ]
+    for p in built:
+        assert p == built[0]
+        assert hash(p) == hash(built[0])
+    assert len({*built}) == 1
+
+
+def test_source_array_mutation_does_not_reach_the_perm():
+    source = np.array([1, 2, 0])
+    p = Perm(source)
+    source[:] = [0, 1, 2]
+    assert p.image == (1, 2, 0)
+    assert not p.table.flags.writeable
+    with pytest.raises(ValueError):
+        p.table[0] = 0
+
+
+def test_image_is_a_tuple_of_python_ints():
+    p = Perm(np.array([1, 0, 2]))
+    assert type(p.image) is tuple
+    assert all(type(v) is int for v in p.image)
+    assert type(p(0)) is int
+    assert all(type(v) is int for v in p)
+    assert all(type(v) is int for v in p.fixed_points())
+    assert all(type(v) is int for v in p.cycle_type())
+    assert type(p.signature()) is int
+
+
+@pytest.mark.parametrize("image", [
+    [],
+    np.array([], dtype=np.int64),
+    [0, 3, 1],
+    [-1, 0],
+    np.array([0, 1, 5]),
+    [2**70, 0],
+    [0, 0, 2],
+    np.array([1, 1]),
+    [[0, 1], [1, 0]],
+    np.arange(4).reshape(2, 2),
+])
+def test_invalid_images_raise_value_error(image):
+    with pytest.raises(ValueError):
+        Perm(image)
 
 
 # -- composition and inversion --
@@ -140,6 +218,57 @@ def test_cycles_start_minimal_and_sorted(p):
     assert starts == sorted(starts)
     for cyc in p.cycles():
         assert cyc[0] == min(cyc)
+
+
+# pointer doubling needs about log2(length) + 1 rounds, so the long cycles
+# here take 12 or more
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 2047, 2048, 2049, 4095, 4096])
+def test_single_cycle_structure(n):
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    p = single_cycle(order)
+    assert p.cycle_type() == (n,)
+    assert p.signature() == (-1 if (n - 1) % 2 else 1)
+    assert p.fixed_points() == ((order[0],) if n == 1 else ())
+
+
+@pytest.mark.parametrize("n", [1, 2, 4096])
+def test_identity_structure(n):
+    e = Perm.identity(n)
+    assert e.cycle_type() == (1,) * n
+    assert e.signature() == 1
+    assert e.fixed_points() == tuple(range(n))
+
+
+@settings(max_examples=200)
+@given(perms(max_n=64))
+def test_cycle_structure_matches_a_cycle_walk(p):
+    lengths = walk_cycle_lengths(p.image)
+    assert p.cycle_type() == tuple(sorted(lengths))
+    assert p.signature() == (-1 if (len(p) - len(lengths)) % 2 else 1)
+    assert p.fixed_points() == tuple(i for i, v in enumerate(p.image) if i == v)
+    assert [len(c) for c in p.cycles()] == lengths
+
+
+@settings(max_examples=25)
+@given(st.integers(min_value=1, max_value=4096), st.lists(st.integers(1, 64), max_size=8),
+       st.randoms(use_true_random=False))
+def test_long_cycles_match_a_cycle_walk(longest, others, rng):
+    # one long cycle plus a few short ones, on shuffled points
+    lengths = [longest] + others
+    points = list(range(sum(lengths)))
+    rng.shuffle(points)
+    img = [0] * len(points)
+    at = 0
+    for length in lengths:
+        cyc = points[at:at + length]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            img[a] = b
+        at += length
+    p = Perm(img)
+    assert p.cycle_type() == tuple(sorted(walk_cycle_lengths(img)))
+    assert p.cycle_type() == tuple(sorted(lengths))
+    assert p.signature() == (-1 if (len(p) - len(lengths)) % 2 else 1)
 
 
 # -- signature --
