@@ -16,9 +16,12 @@ stderr.  Exit codes are a total function of the result variant:
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
+from collections.abc import Iterator
+from itertools import compress, count, islice
+from json.encoder import encode_basestring_ascii
+from operator import is_not, ne
 
 from cnotswap import __version__
 from .feasibility import PARITY_DIMENSION_LIMIT, Verdict, decide
@@ -101,22 +104,150 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _print_report(args, command: str, params: dict, result: dict, human: list[str]) -> None:
+# exact types whose equal items always encode to equal text: floats are left
+# out because -0.0 == 0.0, and the type check keeps 1 apart from True
+_RUN_TYPES = (int, bool, str, type(None))
+_PIECE_CHARS = 1 << 16
+
+
+def _runs(items) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each maximal run of adjacent items equal in type and value.
+
+    The comparisons run in C over the whole sequence; only the run
+    boundaries become Python objects.
+    """
+    breaks = set(compress(count(1), map(ne, items, islice(items, 1, None))))
+    types = map(type, items), map(type, islice(items, 1, None))
+    breaks.update(compress(count(1), map(is_not, *types)))
+    edges = sorted(breaks | {0, len(items)})
+    return zip(edges, edges[1:])
+
+
+def _repeated(unit: str, times: int) -> Iterator[str]:
+    """``unit * times`` as pieces of at most about _PIECE_CHARS characters."""
+    per = max(1, _PIECE_CHARS // len(unit))
+    if times >= per:
+        piece = unit * per
+        for _ in range(times // per):
+            yield piece
+    if times % per:
+        yield unit * (times % per)
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == float("inf"):
+        return "Infinity"
+    if value == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _scalar_text(value) -> str | None:
+    """JSON text of a scalar, in the order of checks ``json`` makes; None for
+    a list, tuple or dict."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """JSON text of a dict key: a non-str scalar key becomes its text quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return '"' + text + '"'
+
+
+def _json_pieces(value, newline: str) -> Iterator[str]:
+    """Pieces of the JSON text of ``value``; ``newline`` is a line break plus
+    the indent of the line the value starts on."""
+    text = _scalar_text(value)
+    if text is not None:
+        yield text
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        prefix = "{" + inner
+        for key, item in sorted(value.items()):
+            yield prefix + _key_text(key) + ": "
+            yield from _json_pieces(item, inner)
+            prefix = "," + inner
+        yield newline + "}"
+        return
+    if not value:
+        yield "[]"
+        return
+    prefix = "[" + inner
+    for start, stop in _runs(value):
+        first = value[start]
+        if type(first) in _RUN_TYPES:
+            text = _scalar_text(first)
+            yield prefix + text
+            yield from _repeated("," + inner + text, stop - start - 1)
+        else:
+            for item in value[start:stop]:
+                yield prefix
+                yield from _json_pieces(item, inner)
+                prefix = "," + inner
+        prefix = "," + inner
+    yield newline + "]"
+
+
+def write_json(value, write) -> None:
+    """Write ``json.dumps(value, indent=2, sort_keys=True)`` through ``write``.
+
+    ``value`` is built of dicts, lists, tuples, str, int, float, bool and
+    None; other types raise TypeError, as in ``json.dumps``.  The text goes
+    out in pieces as it is made, and each run of equal adjacent list items
+    of one of the _RUN_TYPES goes out as one string repetition, so the cost
+    follows the bytes written, not the number of items, and the whole
+    document is never held at once.
+    """
+    for piece in _json_pieces(value, "\n"):
+        write(piece)
+
+
+def _print_json(value) -> None:
+    write_json(value, sys.stdout.write)
+    sys.stdout.write("\n")
+
+
+def _print_json_report(command: str, params: dict, result: dict) -> None:
+    _print_json({"command": command, "params": params, "result": result,
+                 "version": __version__})
+
+
+def _print_report(args, command: str, params: dict, result: dict, human) -> None:
+    """The ``--json`` report, or else the lines ``human()`` returns."""
     if args.json:
-        report = {
-            "command": command,
-            "params": params,
-            "result": result,
-            "version": __version__,
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json_report(command, params, result)
     else:
-        for line in human:
+        for line in human():
             print(line)
 
 
 def _cycle_type_text(ct) -> str:
-    return "(" + ",".join(str(v) for v in ct) + ")"
+    body = "".join(f"{ct[start]}," * (stop - start) for start, stop in _runs(ct))
+    return "(" + body[:-1] + ")"
 
 
 def _sig_text(sig: int) -> str:
@@ -138,25 +269,25 @@ def _run_analyze(args) -> int:
     sig = perm.signature()
     fixed = len(perm.fixed_points())
     matrix = perm.to_matrix() if args.matrix else None
-    result = {
-        "gate": kind.value,
-        "d": args.d,
-        "cycle_type": list(ct),
-        "signature": sig,
-        "fixed_points": fixed,
-        "matrix": matrix.json_payload() if matrix else None,
-    }
-    human = [
-        f"gate: {kind.value}",
-        f"d: {args.d}",
-        f"cycle type: {_cycle_type_text(ct)}",
-        f"signature: {_sig_text(sig)}",
-        f"fixed points: {fixed}",
-    ]
+    if args.json:
+        result = {
+            "gate": kind.value,
+            "d": args.d,
+            "cycle_type": ct,
+            "signature": sig,
+            "fixed_points": fixed,
+            "matrix": matrix.json_payload() if matrix else None,
+        }
+        _print_json_report("analyze", {"d": args.d, "gate": kind.value, "matrix": args.matrix},
+                           result)
+        return EXIT_OK
+    print(f"gate: {kind.value}")
+    print(f"d: {args.d}")
+    print(f"cycle type: {_cycle_type_text(ct)}")
+    print(f"signature: {_sig_text(sig)}")
+    print(f"fixed points: {fixed}")
     if matrix:
-        human.append(matrix.pretty())
-    _print_report(args, "analyze", {"d": args.d, "gate": kind.value, "matrix": args.matrix},
-                  result, human)
+        print(matrix.pretty())
     return EXIT_OK
 
 
@@ -173,7 +304,7 @@ def _run_decide(args) -> int:
             "d_mod_4": rep.d_mod_4,
         },
     }
-    human = [
+    human = lambda: [
         f"d: {rep.d} (d mod 4 = {rep.d_mod_4})",
         "signatures: cnot1 {}, cnot2 {}, swap {}".format(
             _sig_text(rep.sig_cnot1), _sig_text(rep.sig_cnot2), _sig_text(rep.sig_swap)
@@ -203,7 +334,7 @@ def _run_synth(args) -> int:
         word_names = [letter.name for letter in result.word.letters]
         payload = {"outcome": result.outcome.value, "length": len(word_names),
                    "word": word_names}
-        human = [
+        human = lambda: [
             f"FOUND: length {len(word_names)}",
             "word: " + (" ".join(word_names) if word_names else "(empty)"),
         ]
@@ -211,7 +342,7 @@ def _run_synth(args) -> int:
     elif result.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED:
         payload = {"outcome": result.outcome.value, "group_order": result.group_order,
                    "diameter": result.diameter}
-        human = [
+        human = lambda: [
             f"UNREACHABLE_EXHAUSTED: group order {result.group_order}, "
             f"diameter {result.diameter}"
         ]
@@ -219,7 +350,7 @@ def _run_synth(args) -> int:
     else:
         payload = {"outcome": result.outcome.value, "explored_depth": result.explored_depth,
                    "frontier_size": result.frontier_size}
-        human = [
+        human = lambda: [
             f"DEPTH_LIMIT: explored depth {result.explored_depth}, "
             f"frontier size {result.frontier_size}"
         ]
@@ -241,7 +372,7 @@ def _run_group(args) -> int:
     }
     if isinstance(result, GroupCensus):
         payload = {"outcome": "census", **census_payload(result)}
-        human = [
+        human = lambda: [
             f"d: {result.d}",
             f"order: {result.order}",
             f"diameter: {result.diameter}",
@@ -255,7 +386,7 @@ def _run_group(args) -> int:
             "max_elements": result.max_elements,
             "elements_found": result.elements_found,
         }
-        human = [
+        human = lambda: [
             f"group too large: more than {result.max_elements} elements at d = {result.d} "
             f"({result.elements_found} found before stopping)"
         ]
@@ -274,16 +405,15 @@ def _run_export(args) -> int:
     if args.json:
         result = {"gate": kind.value, "d": args.d, "format": args.format,
                   "matrix": matrix.json_payload()}
-        _print_report(args, "export",
-                      {"d": args.d, "gate": kind.value, "format": args.format},
-                      result, [])
+        _print_json_report("export", {"d": args.d, "gate": kind.value, "format": args.format},
+                           result)
         return EXIT_OK
     if args.format == "pretty":
         print(matrix.pretty())
     elif args.format == "csv":
         print(matrix.csv())
     else:
-        print(json.dumps(matrix.json_payload(), indent=2, sort_keys=True))
+        _print_json(matrix.json_payload())
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ parity shortcut so it can serve as an independent cross-check of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -148,11 +149,14 @@ class Perm:
         the cycle, share one minimum.  A cycle of length l therefore costs
         about log2(l) + 1 rounds.  The cycle count is the number of points
         labelled with themselves, and the length of each cycle is how many
-        points carry its label.
+        points carry its label.  Labels are points, so they are held in
+        int32 whenever n - 1 fits, which halves the arrays the rounds gather;
+        ``step`` indexes and stays intp.
         """
         if self._cycle_lengths is None:
             step = self._image
-            label = np.arange(len(step))
+            n = len(step)
+            label = np.arange(n, dtype=np.int32 if n - 1 <= np.iinfo(np.int32).max else np.int64)
             while True:
                 lower = label[step]
                 np.minimum(lower, label, out=lower)
@@ -160,7 +164,8 @@ class Perm:
                     break
                 label = lower
                 step = step[step]
-            roots = np.flatnonzero(label == np.arange(len(label)))
+            del step, lower  # free the gather arrays before counting
+            roots = np.flatnonzero(label == np.arange(n, dtype=label.dtype))
             self._cycle_lengths = np.sort(np.bincount(label)[roots])
         return self._cycle_lengths
 
@@ -178,11 +183,8 @@ class Perm:
 
     def to_matrix(self) -> "PermMatrix":
         """Matrix with entries[j][i] = 1 exactly when this maps i to j."""
-        inv = self.inverse()._image.tolist()
-        n = len(inv)
-        rows = tuple(
-            tuple(1 if i == inv[j] else 0 for i in range(n)) for j in range(n)
-        )
+        n = len(self._image)
+        rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in self.inverse()._image.tolist())
         return PermMatrix(rows)
 
 
@@ -196,20 +198,20 @@ class PermMatrix:
         n = len(self.entries)
         if n == 0:
             raise ValueError("empty matrix")
-        col_ones = [0] * n
+        one_columns = set()
         for row in self.entries:
             if len(row) != n:
                 raise ValueError("matrix is not square")
-            row_ones = 0
-            for i, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError(f"entry {v} is not 0 or 1")
-                if v:
-                    row_ones += 1
-                    col_ones[i] += 1
-            if row_ones != 1:
+            ones = row.count(1)
+            if ones + row.count(0) != n:
+                bad = next(v for v in row if v not in (0, 1))
+                raise ValueError(f"entry {bad} is not 0 or 1")
+            if ones != 1:
                 raise ValueError("row does not contain exactly one 1")
-        if any(c != 1 for c in col_ones):
+            one_columns.add(row.index(1))
+        # n rows with one 1 each fill every column once exactly when their
+        # columns are distinct
+        if len(one_columns) != n:
             raise ValueError("column does not contain exactly one 1")
 
     @property
@@ -218,14 +220,14 @@ class PermMatrix:
 
     def pretty(self) -> str:
         """Rows of space-separated 0/1 digits."""
-        return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
+        return "\n".join(" ".join(map(str, row)) for row in self.entries)
 
     def csv(self) -> str:
-        return "\n".join(",".join(str(v) for v in row) for row in self.entries)
+        return "\n".join(",".join(map(str, row)) for row in self.entries)
 
     def json_payload(self) -> dict:
         """Object with the size and a row-major entry list."""
-        return {"n": self.n, "entries": [v for row in self.entries for v in row]}
+        return {"n": self.n, "entries": list(chain.from_iterable(self.entries))}
 
     @classmethod
     def from_json_payload(cls, payload: dict) -> "PermMatrix":

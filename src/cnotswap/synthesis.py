@@ -32,6 +32,9 @@ from .perm import CostGuardError, Perm
 DEFAULT_MAX_ELEMENTS = 10_000_000
 DEFAULT_MAX_DIMENSION = 31
 WORD_EVAL_MAX_DIMENSION = 64
+# group elements whose image tables group_elements builds at once, which
+# bounds its temporaries to a few of these slices (d = 31: 7.9 MB each)
+_TABLE_SLICE = 1024
 
 
 @dataclass(frozen=True)
@@ -253,8 +256,12 @@ def group_elements(
         raise CostGuardError(
             f"group at d = {d} exceeds the {max_elements}-element cap"
         )
-    a, b, c, e = (col[:, None, None] for col in np.concatenate(closure.layers).T)
-    return [Perm(table.ravel()) for table in _linear_images(d, a, b, c, e)]
+    matrices = np.concatenate(closure.layers)
+    out = []
+    for start in range(0, len(matrices), _TABLE_SLICE):
+        a, b, c, e = (col[:, None, None] for col in matrices[start : start + _TABLE_SLICE].T)
+        out.extend(Perm(table.ravel()) for table in _linear_images(d, a, b, c, e))
+    return out
 
 
 def find_word(

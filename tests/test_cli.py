@@ -3,10 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cnotswap.cli import write_json
+from cnotswap.gates import swap_perm
 from qutrit_tables import CNOT1_MATRIX_D3, CNOT2_MATRIX_D3, SWAP_MATRIX_D3
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -268,6 +273,116 @@ def test_golden_bytes_at_the_guard_bound(run_cli, argv, code_expected, sha256):
     code, out, _ = run_cli(*argv)
     assert code == code_expected
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# sha256 of stdout of the human and matrix outputs, recorded while every
+# report still went through json.dumps and eagerly built human text
+@pytest.mark.parametrize("argv,sha256", [
+    (["analyze", "--gate", "swap", "--d", "1000"],
+     "e26cc1ef1689907024dfed04c209d6b6423157c0033a9c15c72eb22d21ea2118"),
+    (["analyze", "--gate", "cnot1", "--d", "1000"],
+     "b569134d31555dae2a1cab79b286db72a4538e37954c46991ccf43c9819d3546"),
+    (["analyze", "--d", "16", "--gate", "cnot2", "--matrix"],
+     "f48038adb5774a81114b84bb82827a208a4ddaeabdb96f880336d8a168bc6d1c"),
+    (["analyze", "--d", "16", "--gate", "cnot2", "--matrix", "--json"],
+     "a92fe2daca0f6bc6ed779f699a3e3f8aae77c46edc07f5806cabedc812ff7c0a"),
+    (["export", "--d", "16", "--gate", "swap", "--format", "pretty"],
+     "83b4de3abcefd854344999a32434221e99723aa5f29904966a5b5ed22a85aef8"),
+    (["export", "--d", "16", "--gate", "swap", "--format", "csv"],
+     "aea175b229eca9aefae53df014f09c7e7923d02c63a3dbbebd0045b5fba86b9e"),
+    (["export", "--d", "16", "--gate", "swap", "--format", "json"],
+     "ed64492b0e44459230f327ff8e0d4119de5fb5c695a0f4db0fbc1f85476c19a5"),
+    (["export", "--d", "16", "--gate", "swap", "--json"],
+     "6d565dc364873ce5f9eaf2f767a8515754c1adce98318d377cc3b8b5c7b2cb89"),
+])
+def test_golden_bytes_of_human_and_matrix_output(run_cli, argv, sha256):
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# -- the JSON writer --
+
+
+def written(value) -> str:
+    pieces = []
+    write_json(value, pieces.append)
+    return "".join(pieces)
+
+
+# items that compare equal across types, or encode differently while equal
+TRICKY = [0, False, 0.0, -0.0, 1, True, 1.0, None, "", "1", 2**70, float("nan"),
+          float("inf"), -float("inf")]
+scalars = st.one_of(
+    st.sampled_from(TRICKY), st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(), st.sampled_from(["\u00e9\u2603\U0001f600", "\"\\/\b\f\n\r\t\x00\x1f", "\ud800"]),
+)
+
+
+def with_runs(children):
+    # lists of runs: each drawn item repeated up to 6 times, so equal
+    # adjacent items of equal and of different types both occur
+    runs = st.lists(st.tuples(children, st.integers(1, 6)), max_size=6)
+    return runs.map(lambda pairs: [item for item, k in pairs for _ in range(k)])
+
+
+json_values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        with_runs(children),
+        with_runs(children).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_writer_matches_json_dumps(value):
+    assert written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], {"a": {}}, [1] * 5000, [True, 1, 1.0, True], [0, -0.0, 0.0, False],
+    {"b": [None] * 3, "a": ["x"] * 2 + ["y"]}, {2: 0, 1.5: 1, False: 2, -0.0: [3]},
+    {None: 1}, {float("nan"): 1, float("inf"): 2},
+])
+def test_writer_edge_cases(value):
+    assert written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [[object()], {"a": {3}}, {(1, 2): 3}, {None: 1, 2: 3}])
+def test_writer_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        written(value)
+
+
+def test_writer_memory_stays_below_the_output():
+    # the d = 1000 swap report has 500500 cycle lengths, about 4.5 MB of
+    # text; json.dumps holds 8.4 times that at its peak
+    ct = swap_perm(1000).cycle_type()
+    report = {"command": "analyze", "params": {"d": 1000, "gate": "swap", "matrix": False},
+              "result": {"cycle_type": ct, "d": 1000, "fixed_points": 1000, "gate": "swap",
+                         "matrix": None, "signature": 1},
+              "version": "0"}
+    chars = 0
+
+    def count(piece):
+        nonlocal chars
+        chars += len(piece)
+
+    tracemalloc.start()
+    try:
+        write_json(report, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chars == len(json.dumps(report, indent=2, sort_keys=True)) > 4_000_000
+    assert peak < chars / 10
 
 
 

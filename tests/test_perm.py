@@ -319,14 +319,26 @@ def test_matrix_entry_convention():
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError):
-        PermMatrix(((1, 1), (0, 0)))
-    with pytest.raises(ValueError):
-        PermMatrix(((1, 0), (1, 0)))
-    with pytest.raises(ValueError):
-        PermMatrix(((2, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        PermMatrix(())
+    for entries, message in [
+        (((1, 1), (0, 0)), "row does not contain exactly one 1"),
+        (((0, 0), (0, 1)), "row does not contain exactly one 1"),
+        (((1, 0), (1, 0)), "column does not contain exactly one 1"),
+        (((0, 1, 0), (0, 0, 1), (0, 1, 0)), "column does not contain exactly one 1"),
+        (((2, 0), (0, 1)), "entry 2 is not 0 or 1"),
+        (((1, 1, 7), (0, 0, 1), (1, 0, 0)), "entry 7 is not 0 or 1"),  # before the row count
+        (((1, 0), (0, 1, 0)), "matrix is not square"),
+        ((), "empty matrix"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PermMatrix(entries)
+
+
+def test_matrix_rows_are_exact_unit_vectors():
+    for n in (1, 2, 5, 64):
+        p = Perm(random.Random(n).sample(range(n), n))
+        rows = p.to_matrix().entries
+        assert rows == tuple(tuple(int(p(i) == j) for i in range(n)) for j in range(n))
+        assert all(type(v) is int for row in rows for v in row)
 
 
 def test_matrix_formats_round_trip():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -259,6 +260,41 @@ def test_group_elements_bfs_order():
     assert elems[1] == cnot1_perm(2)
     assert elems[2] == cnot2_perm(2)
     assert swap_perm(2) in elems
+
+
+def reference_elements(d):
+    """Independent oracle: the group in one-at-a-time breadth-first insertion
+    order over image tables, CNOT1 before CNOT2."""
+    gens = [cnot1_perm(d), cnot2_perm(d)]
+    elems = [Perm.identity(d * d)]
+    seen = set(elems)
+    for parent in elems:  # the list grows behind the loop: a queue
+        for gate in gens:
+            child = gate * parent
+            if child not in seen:
+                seen.add(child)
+                elems.append(child)
+    return elems
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("table_slice", [1, 7, 1024])
+def test_group_elements_in_slices_match_a_per_element_reference(monkeypatch, d, table_slice):
+    # slices of 1 and 7 elements end both on and off a slice boundary
+    monkeypatch.setattr("cnotswap.synthesis._TABLE_SLICE", table_slice)
+    assert group_elements(d) == reference_elements(d)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_no_three_entries_identify_a_group_element(d):
+    # det = 1 does not fix the fourth entry: with a = 0 it reads -bc = 1
+    # and leaves e free (likewise for each other entry), so a compact
+    # visited key must keep all four entries or prove itself faithful
+    entries = [astuple(as_linear_map(p, d))[1:] for p in group_elements(d)]
+    assert len(set(entries)) == len(entries) == sl2_order(d)
+    for kept in itertools.combinations(range(4), 3):
+        keys = {tuple(x[i] for i in kept) for x in entries}
+        assert len(keys) < len(entries), kept
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
