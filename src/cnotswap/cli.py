@@ -16,7 +16,6 @@ stderr.  Exit codes are a total function of the result variant:
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from collections.abc import Iterator
 from itertools import compress, count, islice
@@ -33,6 +32,7 @@ from .synthesis import (
     GroupCensus,
     SearchOutcome,
     census_payload,
+    check_search_guards,
     enumerate_group,
     find_word,
 )
@@ -316,6 +316,7 @@ def _run_decide(args) -> int:
 
 
 def _run_synth(args) -> int:
+    check_search_guards(args.d, args.max_dimension)  # before the target's d*d table
     result = find_word(
         args.d,
         swap_perm(args.d),
@@ -427,7 +428,6 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:

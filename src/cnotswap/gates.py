@@ -52,6 +52,8 @@ def _basis_digit_grid(d: int) -> tuple[np.ndarray, np.ndarray]:
 
     Expressions in them broadcast to d x d tables indexed [m, n], which
     ravel in flat-index order d*m + n without holding two full digit arrays.
+    The gate builders evaluate them with ``out=`` into the one table they
+    return, so a build holds no d*d temporaries.
     """
     _check_dimension(d)
     digits = np.arange(d, dtype=np.int64)
@@ -71,19 +73,30 @@ def _linear_images(d: int, a, b, c, e) -> np.ndarray:
 def cnot1_perm(d: int) -> Perm:
     """(m, n) -> (m, n + m mod d); control on the first system."""
     m, n = _basis_digit_grid(d)
-    return Perm((d * m + (n + m) % d).ravel())
+    table = np.empty((d, d), dtype=np.int64)
+    np.add(m, n, out=table)
+    np.remainder(table, d, out=table)
+    np.add(table, d * m, out=table)
+    return Perm(table.ravel())
 
 
 def cnot2_perm(d: int) -> Perm:
     """(m, n) -> (m + n mod d, n); control on the second system."""
     m, n = _basis_digit_grid(d)
-    return Perm((d * ((m + n) % d) + n).ravel())
+    table = np.empty((d, d), dtype=np.int64)
+    np.add(m, n, out=table)
+    np.remainder(table, d, out=table)
+    np.multiply(table, d, out=table)
+    np.add(table, n, out=table)
+    return Perm(table.ravel())
 
 
 def swap_perm(d: int) -> Perm:
     """(m, n) -> (n, m); an involution fixing the d diagonal states."""
     m, n = _basis_digit_grid(d)
-    return Perm((d * n + m).ravel())
+    table = np.empty((d, d), dtype=np.int64)
+    np.add(d * n, m, out=table)
+    return Perm(table.ravel())
 
 
 _GATE_BUILDERS = {

@@ -48,11 +48,14 @@ class Perm:
         n = len(img)
         if n == 0:
             raise ValueError("a permutation needs at least one point")
-        outside = (img < 0) | (img >= n)
-        if outside.any():
+        if img.min() < 0 or img.max() >= n:
+            outside = (img < 0) | (img >= n)
             raise ValueError(f"image value {img[outside.argmax()]} outside 0..{n - 1}")
-        repeated = np.bincount(img, minlength=n) > 1
-        if repeated.any():
+        # n values in range are a bijection exactly when they mark all n points
+        marked = np.zeros(n, dtype=bool)
+        marked[img] = True
+        if not marked.all():
+            repeated = np.bincount(img, minlength=n) > 1
             raise ValueError(f"image value {repeated.argmax()} repeated; not a bijection")
         img.flags.writeable = False
         self._image = img

@@ -238,6 +238,31 @@ def test_guard_errors_exit_65(run_cli):
         assert "guard" in err
 
 
+@pytest.mark.parametrize("command", ["synth", "group"])
+def test_key_state_budget_exits_65_before_allocating(run_cli, command):
+    # at d = 1000 the visited keys alone would take 4 GB; the guard fires
+    # before the key state or the d*d target table exists
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(command, "--d", "1000", "--max-dimension", "1000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: search guard") and err.count("\n") == 1
+    assert peak < 2**20
+
+
+def test_cli_import_leaves_logging_out():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cnotswap.cli; print('logging' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.stdout == "False\n"
+
+
 def test_allocation_failure_exits_65_without_traceback(run_cli, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.54 GiB")

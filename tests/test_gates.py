@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -167,6 +168,19 @@ def test_gate_cycle_types_match_the_closed_form(d):
 def test_cnot2_is_swap_conjugate_of_cnot1(d):
     s = swap_perm(d)
     assert cnot2_perm(d) == s * cnot1_perm(d) * s
+
+
+@pytest.mark.parametrize("builder", [cnot1_perm, cnot2_perm, swap_perm])
+def test_gate_builders_hold_little_beyond_their_table(builder):
+    # the table is filled in place and the constructor adds its copy and a
+    # bool mark array: 2.125 tables; three int64 d*d temporaries made 3.25
+    tracemalloc.start()
+    try:
+        table_bytes = builder(1000).table.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * table_bytes
 
 
 def test_gate_perm_dispatch():

@@ -1,13 +1,22 @@
 import itertools
 import random
+import tracemalloc
 from dataclasses import astuple
+from math import gcd
 
+import numpy as np
 import pytest
 
-from cnotswap.gates import GateKind, as_linear_map, cnot1_perm, cnot2_perm, swap_perm
+from cnotswap.gates import (
+    GateKind, LinearMap2, as_linear_map, cnot1_perm, cnot2_perm, swap_perm, _linear_images,
+)
 from cnotswap.perm import CostGuardError, Perm
 from cnotswap.synthesis import (
     DEFAULT_MAX_ELEMENTS,
+    _Closure,
+    _bezout_table,
+    _closure_bfs,
+    _keys,
     GateWord,
     GroupCensus,
     GroupTooLarge,
@@ -230,8 +239,12 @@ def test_cap_equal_to_order_still_completes():
             assert capped == GroupTooLarge(d=d, max_elements=order - 1, elements_found=order - 1)
 
 
-@pytest.mark.parametrize("d,k", [(3, 2), (3, 4), (3, 7), (3, 12), (3, 20),
-                                 (5, 3), (5, 10), (5, 30), (5, 60), (5, 119)])
+# element caps inside a layer or on a layer boundary
+MID_LAYER_CAPS = [(3, 2), (3, 4), (3, 7), (3, 12), (3, 20),
+                  (5, 3), (5, 10), (5, 30), (5, 60), (5, 119)]
+
+
+@pytest.mark.parametrize("d,k", MID_LAYER_CAPS)
 def test_element_cap_mid_layer_stops_at_exactly_the_cap(d, k):
     counts = enumerate_group(d).counts_by_depth
     boundaries = {sum(counts[:i]) for i in range(1, len(counts) + 1)}
@@ -473,3 +486,192 @@ def test_census_payload_schema():
         "diameter": 3,
         "counts_by_depth": [1, 2, 2, 1],
     }
+
+
+# -- the column-code kernel against the d**4-key reference --
+
+
+def d4_key_closure(d, *, max_elements, max_depth=None, target=None):
+    """Reference: the earlier kernel, over rows (a, b, c, e) with the exact
+    key ((a*d + b)*d + c)*d + e marked in a dense d**4 bitmap and each layer
+    deduplicated by ``np.unique(return_index=True)``."""
+    weights = np.array([d**3, d**2, d, 1], dtype=np.int64)
+    ident = np.array([[1 % d, 0, 0, 1 % d]], dtype=np.int64)
+    visited = np.zeros(d**4, dtype=bool)
+    visited[ident @ weights] = True
+    layers = [ident]
+    parents = [np.array([-1], dtype=np.int64)]
+    letters = [np.array([-1], dtype=np.int64)]
+    counts = [1]
+    size = 1
+
+    target_key = None
+    if target is not None:
+        target_key = ((target.a * d + target.b) * d + target.c) * d + target.e
+        if visited[target_key]:
+            return _Closure("found", size, layers, parents, letters, counts, found_index=0)
+
+    frontier = ident
+    start = 0
+    depth = 0
+    while len(frontier):
+        if max_depth is not None and depth >= max_depth:
+            return _Closure(
+                "depth_cap", size, layers, parents, letters, counts,
+                stopped_depth=depth, stopped_frontier=len(frontier),
+            )
+        sums = (frontier[:, :2] + frontier[:, 2:]) % d
+        children = np.stack(
+            [np.hstack([frontier[:, :2], sums]), np.hstack([sums, frontier[:, 2:]])],
+            axis=1,
+        ).reshape(-1, 4)
+        keys = children @ weights
+        fresh = np.flatnonzero(~visited[keys])
+        _, first = np.unique(keys[fresh], return_index=True)
+        new = fresh[np.sort(first)]
+
+        room = max(max_elements - size, 0)
+        found = False
+        if target_key is not None:
+            hits = np.flatnonzero(keys[new] == target_key)
+            found = len(hits) > 0 and hits[0] < room
+        if found:
+            new = new[: hits[0] + 1]
+        elif len(new) > room:
+            return _Closure(
+                "element_cap", size + room, layers, parents, letters, counts,
+                stopped_depth=depth, stopped_frontier=len(frontier),
+            )
+
+        frontier = children[new]
+        visited[keys[new]] = True
+        layers.append(frontier)
+        parents.append(start + new // 2)
+        letters.append(new % 2)
+        start = size
+        size += len(new)
+        if found:
+            return _Closure(
+                "found", size, layers, parents, letters, counts, found_index=size - 1
+            )
+        if len(new):
+            counts.append(len(new))
+        depth += 1
+    return _Closure("complete", size, layers, parents, letters, counts)
+
+
+def assert_same_closure(got, ref, d):
+    """Same stop, counts and records: equal parents and letters of every
+    element recorded give equal least words."""
+    fields = ("status", "size", "counts_by_depth", "found_index", "stopped_depth",
+              "stopped_frontier")
+    assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
+    first, second = np.concatenate(got.layers, axis=1).astype(np.int64)
+    (a, c), (b, e) = np.divmod(first, d), np.divmod(second, d)
+    assert np.array_equal(np.stack([a, b, c, e], axis=1), np.concatenate(ref.layers))
+    assert np.array_equal(np.concatenate(got.parents), np.concatenate(ref.parents))
+    assert np.array_equal(np.concatenate(got.letters), np.concatenate(ref.letters))
+
+
+def linear_perm(lm):
+    return Perm(_linear_images(lm.d, lm.a, lm.b, lm.c, lm.e).ravel())
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_kernel_matches_the_d4_key_reference(d):
+    full = d4_key_closure(d, max_elements=DEFAULT_MAX_ELEMENTS)
+    assert_same_closure(_closure_bfs(d, max_elements=DEFAULT_MAX_ELEMENTS), full, d)
+    order, diameter = full.size, len(full.counts_by_depth) - 1
+    elements = [LinearMap2(d, *row) for row in np.concatenate(full.layers).tolist()]
+    targets = [None, as_linear_map(swap_perm(d), d), LinearMap2(d, 1 % d, 0, 0, -1 % d)]
+    targets += elements[:: max(1, order // 6)] + elements[-1:]
+    element_caps = {1, order - 1, order, order + 1} | {k for dd, k in MID_LAYER_CAPS if dd == d}
+    for target in targets:
+        for max_depth in range(diameter + 2):
+            assert_same_closure(
+                _closure_bfs(d, max_elements=DEFAULT_MAX_ELEMENTS, max_depth=max_depth,
+                             target=target),
+                d4_key_closure(d, max_elements=DEFAULT_MAX_ELEMENTS, max_depth=max_depth,
+                               target=target),
+                d,
+            )
+        for cap in element_caps:
+            assert_same_closure(
+                _closure_bfs(d, max_elements=cap, target=target),
+                d4_key_closure(d, max_elements=cap, target=target),
+                d,
+            )
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_key_is_injective_on_the_group(d):
+    # every matrix of determinant 1, enumerated without the search
+    a, b, c, e = np.indices((d,) * 4).reshape(4, -1)
+    det_one = (a * e - b * c) % d == 1 % d
+    a, b, c, e = a[det_one], b[det_one], c[det_one], e[det_one]
+    keys = _keys(d, _bezout_table(d), a * d + c, b * d + e)
+    assert len(keys) == sl2_order(d)
+    assert len(np.unique(keys)) == len(keys)
+    assert 0 <= keys.min() and keys.max() < d**3
+
+
+@pytest.mark.parametrize("d", range(1, 65))
+def test_bezout_table_inverts_exactly_the_unimodular_columns(d):
+    x, y = (t.tolist() for t in _bezout_table(d))
+    for code in range(d * d):
+        u, v = divmod(code, d)
+        inverted = (x[code] * u + y[code] * v) % d == 1 % d
+        assert inverted == (gcd(gcd(u, v), d) == 1)
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_targets_of_another_determinant_exhaust_the_group(d):
+    # both CNOTs have determinant 1, so a target of determinant -1 is never
+    # met; diag(1, -1) shares its key with the identity and [[1, 1], [0, -1]]
+    # with CNOT2, so only the determinant check keeps them apart
+    bezout = _bezout_table(d)
+    negate = LinearMap2(d, 1, 0, 0, d - 1)
+    cnot2_twin = LinearMap2(d, 1, 1, 0, d - 1)
+    assert _keys(d, bezout, d, d - 1) == _keys(d, bezout, d, 1)
+    assert _keys(d, bezout, d, 2 * d - 1) == _keys(d, bezout, d, d + 1)
+    for target in (swap_perm(d), linear_perm(negate), linear_perm(cnot2_twin)):
+        result = find_word(d, target)
+        assert result.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED
+        assert result.group_order == sl2_order(d)
+
+
+def test_search_with_column_codes_beyond_int16():
+    # at d = 182 column codes reach 33123 and are held in int32.  No word
+    # shorter than 12 letters has an entry near d - 1, so the target and
+    # the layer before it need that length.
+    d = 182
+    letters = (C1, C1, C1, C2, C1, C2, C1, C2, C1, C1, C2, C2)
+    gens = {C1: (1, 0, 1, 1), C2: (1, 1, 0, 1)}
+
+    def matrix_of(word_letters):
+        a, b, c, e = 1, 0, 0, 1
+        for letter in word_letters:
+            p, q, r, s = gens[letter]
+            a, b, c, e = ((p * a + q * c) % d, (p * b + q * e) % d,
+                          (r * a + s * c) % d, (r * b + s * e) % d)
+        return LinearMap2(d, a, b, c, e)
+
+    target = matrix_of(letters)
+    assert target.a * d + target.c >= 2**15
+    result = find_word(d, linear_perm(target), max_depth=len(letters), max_dimension=d)
+    assert result.outcome is SearchOutcome.FOUND
+    assert len(result.word) <= len(letters)
+    assert matrix_of(result.word.letters) == target
+
+
+def test_full_closure_at_d64_stays_small():
+    # 196608 elements of 9 bytes and a 1 MB key state; the d**4 bitmap
+    # kernel peaked at 33.6 MiB
+    tracemalloc.start()
+    try:
+        census = enumerate_group(64, max_dimension=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census.order == sl2_order(64)
+    assert peak < 12 * 2**20
