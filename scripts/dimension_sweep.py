@@ -14,7 +14,6 @@ Usage:
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -24,17 +23,7 @@ from cnotswap.gates import swap_perm
 from cnotswap.synthesis import SearchOutcome, enumerate_group, find_word
 
 
-@dataclass
-class SweepConfig:
-    d_min: int = 1
-    d_max: int = 12
-    max_elements: int = 2_000_000
-    max_dimension: int = 31
-    skip_search: bool = False
-    json_out: Path | None = None
-
-
-def sweep_row(cfg: SweepConfig, d: int) -> dict:
+def sweep_row(args: argparse.Namespace, d: int) -> dict:
     decision = decide(d)
     rep = decision.report
     row = {
@@ -47,13 +36,13 @@ def sweep_row(cfg: SweepConfig, d: int) -> dict:
         "search": None,
         "word": None,
     }
-    if cfg.skip_search or d > cfg.max_dimension:
+    if args.skip_search or d > args.max_dimension:
         return row
-    census = enumerate_group(d, max_elements=cfg.max_elements,
-                             max_dimension=cfg.max_dimension)
+    census = enumerate_group(d, max_elements=args.max_elements,
+                             max_dimension=args.max_dimension)
     row["group_order"] = getattr(census, "order", None)
-    result = find_word(d, swap_perm(d), max_elements=cfg.max_elements,
-                       max_dimension=cfg.max_dimension)
+    result = find_word(d, swap_perm(d), max_elements=args.max_elements,
+                       max_dimension=args.max_dimension)
     row["search"] = result.outcome.value
     if result.outcome is SearchOutcome.FOUND:
         row["word"] = [letter.name for letter in result.word.letters]
@@ -83,15 +72,7 @@ def main() -> int:
     parser.add_argument("--json-out", type=Path, default=None)
     args = parser.parse_args()
 
-    cfg = SweepConfig(
-        d_min=args.d_min,
-        d_max=args.d_max,
-        max_elements=args.max_elements,
-        max_dimension=args.max_dimension,
-        skip_search=args.skip_search,
-        json_out=args.json_out,
-    )
-    rows = [sweep_row(cfg, d) for d in range(cfg.d_min, cfg.d_max + 1)]
+    rows = [sweep_row(args, d) for d in range(args.d_min, args.d_max + 1)]
     print_table(rows)
 
     obstructed = [r["d"] for r in rows if r["verdict"] == Verdict.INFEASIBLE_BY_PARITY.value]
@@ -99,13 +80,13 @@ def main() -> int:
     found = [r["d"] for r in rows if r["search"] == SearchOutcome.FOUND.value]
     print()
     print(f"parity-obstructed (d = 3 mod 4): {obstructed}")
-    if not cfg.skip_search:
+    if not args.skip_search:
         print(f"search exhausted, swap unreachable: {unreachable}")
         print(f"swap synthesized: {found}")
 
-    if cfg.json_out is not None:
-        cfg.json_out.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-        print(f"\nwrote {cfg.json_out}")
+    if args.json_out is not None:
+        args.json_out.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        print(f"\nwrote {args.json_out}")
     return 0
 
 

@@ -25,7 +25,7 @@ from operator import is_not, ne
 from cnotswap import __version__
 from .feasibility import PARITY_DIMENSION_LIMIT, Verdict, decide
 from .gates import GateKind, gate_perm, swap_perm
-from .perm import CostGuardError
+from .perm import CostGuardError, Perm
 from .synthesis import (
     DEFAULT_MAX_DIMENSION,
     DEFAULT_MAX_ELEMENTS,
@@ -254,6 +254,23 @@ def _sig_text(sig: int) -> str:
     return f"{sig:+d}"
 
 
+def _print_matrix(perm: Perm, sep: str) -> None:
+    """Print the permutation matrix (entry [j][i] = 1 iff perm maps i to j) row
+    by row, digits joined by ``sep``: row j has its one 1 at column perm^-1(j)."""
+    n = len(perm)
+    for k in perm.inverse().table.tolist():
+        print(("0" + sep) * k + "1" + (sep + "0") * (n - 1 - k))
+
+
+def _matrix_payload(perm: Perm) -> dict:
+    """The matrix as JSON data: its size and its entries in row-major order."""
+    n = len(perm)
+    entries = [0] * (n * n)
+    for j, k in enumerate(perm.inverse().table.tolist()):
+        entries[j * n + k] = 1
+    return {"n": n, "entries": entries}
+
+
 def _run_analyze(args) -> int:
     if args.d > ANALYZE_DIMENSION_LIMIT:
         raise CostGuardError(
@@ -268,7 +285,6 @@ def _run_analyze(args) -> int:
     ct = perm.cycle_type()
     sig = perm.signature()
     fixed = len(perm.fixed_points())
-    matrix = perm.to_matrix() if args.matrix else None
     if args.json:
         result = {
             "gate": kind.value,
@@ -276,7 +292,7 @@ def _run_analyze(args) -> int:
             "cycle_type": ct,
             "signature": sig,
             "fixed_points": fixed,
-            "matrix": matrix.json_payload() if matrix else None,
+            "matrix": _matrix_payload(perm) if args.matrix else None,
         }
         _print_json_report("analyze", {"d": args.d, "gate": kind.value, "matrix": args.matrix},
                            result)
@@ -286,8 +302,8 @@ def _run_analyze(args) -> int:
     print(f"cycle type: {_cycle_type_text(ct)}")
     print(f"signature: {_sig_text(sig)}")
     print(f"fixed points: {fixed}")
-    if matrix:
-        print(matrix.pretty())
+    if args.matrix:
+        _print_matrix(perm, " ")
     return EXIT_OK
 
 
@@ -402,19 +418,17 @@ def _run_export(args) -> int:
             f"matrix guard: d = {args.d} exceeds {MATRIX_DIMENSION_LIMIT}"
         )
     kind = GateKind(args.gate)
-    matrix = gate_perm(kind, args.d).to_matrix()
+    perm = gate_perm(kind, args.d)
     if args.json:
         result = {"gate": kind.value, "d": args.d, "format": args.format,
-                  "matrix": matrix.json_payload()}
+                  "matrix": _matrix_payload(perm)}
         _print_json_report("export", {"d": args.d, "gate": kind.value, "format": args.format},
                            result)
         return EXIT_OK
-    if args.format == "pretty":
-        print(matrix.pretty())
-    elif args.format == "csv":
-        print(matrix.csv())
+    if args.format == "json":
+        _print_json(_matrix_payload(perm))
     else:
-        _print_json(matrix.json_payload())
+        _print_matrix(perm, " " if args.format == "pretty" else ",")
     return EXIT_OK
 
 

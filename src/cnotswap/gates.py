@@ -2,8 +2,10 @@
 
 Basis states (m, n) are flattened row-major as d*m + n, with m the digit of
 the first system.  CNOT1 adds the first digit into the second mod d, CNOT2
-adds the second into the first, SWAP exchanges the digits.  All three are
-bijections on basis states, so they live here as ``Perm`` objects.
+adds the second into the first, SWAP exchanges the digits.  Each gate is a
+2x2 matrix over Z_d acting on digit pairs (``GATE_MATRICES``), and
+``_linear_images`` is the one routine that turns a matrix into the image
+table of its permutation; the gates live here as ``Perm`` objects.
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ class GateKind(Enum):
 
 # SWAP is a synthesis target only; circuits are words over these two.
 GENERATORS = (GateKind.CNOT1, GateKind.CNOT2)
+
+# (a, b, c, e) of each gate's map (m, n) -> (a*m + b*n, c*m + e*n) mod d
+GATE_MATRICES = {
+    GateKind.CNOT1: (1, 0, 1, 1),
+    GateKind.CNOT2: (1, 1, 0, 1),
+    GateKind.SWAP: (0, 1, 1, 0),
+}
 
 
 def _check_dimension(d: int) -> None:
@@ -47,67 +56,48 @@ def basis_digits(d: int, flat: int) -> tuple[int, int]:
     return divmod(flat, d)
 
 
-def _basis_digit_grid(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Digits m (a column) and n (a row) of the basis states.
-
-    Expressions in them broadcast to d x d tables indexed [m, n], which
-    ravel in flat-index order d*m + n without holding two full digit arrays.
-    The gate builders evaluate them with ``out=`` into the one table they
-    return, so a build holds no d*d temporaries.
-    """
-    _check_dimension(d)
-    digits = np.arange(d, dtype=np.int64)
-    return digits[:, None], digits[None, :]
-
-
 def _linear_images(d: int, a, b, c, e) -> np.ndarray:
     """Image tables of (m, n) -> (a*m + b*n, c*m + e*n) mod d, shape (..., d, d).
 
-    Scalar coefficients give one table; coefficient arrays of shape (k, 1, 1)
-    give one per map.
+    Coefficients lie in 0 .. d-1.  Scalars give one table; coefficient arrays
+    of shape (k, 1) give one per map.  Entry [m, n] is the image of the basis
+    state d*m + n, so a table ravels in flat-index order.  The products x*m
+    and y*n are reduced on the d digits before they broadcast, so each
+    coordinate is one sum below 2*d on the grid, brought under d by one
+    subtraction.  Tables are int32 while d*d fits.
     """
-    m, n = _basis_digit_grid(d)
-    return d * ((a * m + b * n) % d) + (c * m + e * n) % d
+    _check_dimension(d)
+    digits = np.arange(d, dtype=np.int32 if d * d <= 2**31 else np.int64)
+
+    def coordinate(x, y):
+        t = (x * digits % d)[..., :, None] + (y * digits % d)[..., None, :]
+        np.subtract(t, d, out=t, where=t >= d)
+        return t
+
+    table = coordinate(a, b)
+    table *= d
+    table += coordinate(c, e)
+    return table
+
+
+def gate_perm(kind: GateKind, d: int) -> Perm:
+    """The gate's permutation of the basis states, built from its matrix."""
+    return Perm(_linear_images(d, *GATE_MATRICES[kind]).ravel())
 
 
 def cnot1_perm(d: int) -> Perm:
     """(m, n) -> (m, n + m mod d); control on the first system."""
-    m, n = _basis_digit_grid(d)
-    table = np.empty((d, d), dtype=np.int64)
-    np.add(m, n, out=table)
-    np.remainder(table, d, out=table)
-    np.add(table, d * m, out=table)
-    return Perm(table.ravel())
+    return gate_perm(GateKind.CNOT1, d)
 
 
 def cnot2_perm(d: int) -> Perm:
     """(m, n) -> (m + n mod d, n); control on the second system."""
-    m, n = _basis_digit_grid(d)
-    table = np.empty((d, d), dtype=np.int64)
-    np.add(m, n, out=table)
-    np.remainder(table, d, out=table)
-    np.multiply(table, d, out=table)
-    np.add(table, n, out=table)
-    return Perm(table.ravel())
+    return gate_perm(GateKind.CNOT2, d)
 
 
 def swap_perm(d: int) -> Perm:
     """(m, n) -> (n, m); an involution fixing the d diagonal states."""
-    m, n = _basis_digit_grid(d)
-    table = np.empty((d, d), dtype=np.int64)
-    np.add(d * n, m, out=table)
-    return Perm(table.ravel())
-
-
-_GATE_BUILDERS = {
-    GateKind.CNOT1: cnot1_perm,
-    GateKind.CNOT2: cnot2_perm,
-    GateKind.SWAP: swap_perm,
-}
-
-
-def gate_perm(kind: GateKind, d: int) -> Perm:
-    return _GATE_BUILDERS[kind](d)
+    return gate_perm(GateKind.SWAP, d)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ parity shortcut so it can serve as an independent cross-check of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -185,7 +184,8 @@ class Perm:
         return -1 if (len(self._image) - len(self._sorted_cycle_lengths())) % 2 else 1
 
     def to_matrix(self) -> "PermMatrix":
-        """Matrix with entries[j][i] = 1 exactly when this maps i to j."""
+        """Matrix with entries[j][i] = 1 exactly when this maps i to j, the
+        input of the ``exact_determinant`` cross-check."""
         n = len(self._image)
         rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in self.inverse()._image.tolist())
         return PermMatrix(rows)
@@ -220,26 +220,6 @@ class PermMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def pretty(self) -> str:
-        """Rows of space-separated 0/1 digits."""
-        return "\n".join(" ".join(map(str, row)) for row in self.entries)
-
-    def csv(self) -> str:
-        return "\n".join(",".join(map(str, row)) for row in self.entries)
-
-    def json_payload(self) -> dict:
-        """Object with the size and a row-major entry list."""
-        return {"n": self.n, "entries": list(chain.from_iterable(self.entries))}
-
-    @classmethod
-    def from_json_payload(cls, payload: dict) -> "PermMatrix":
-        n = int(payload["n"])
-        flat = [int(v) for v in payload["entries"]]
-        if len(flat) != n * n:
-            raise ValueError("entry list does not match the declared size")
-        rows = tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n))
-        return cls(rows)
 
 
 def exact_determinant(matrix: PermMatrix, max_size: int = DETERMINANT_SIZE_LIMIT) -> int:

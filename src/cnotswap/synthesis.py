@@ -4,8 +4,10 @@ Both CNOTs act on digit pairs as the elementary matrices [[1,0],[1,1]] and
 [[1,1],[0,1]] over Z_d, so every group element is a 2x2 matrix of
 determinant 1.  The search holds each one as its two column codes (a column
 (u, v) is the basis state d*u + v) and marks it visited under a faithful key
-in 0 .. d**3 - 1; image tables are only built for callers that ask for
-permutations.
+in 0 .. d**3 - 1.  Image tables are built only for callers that ask for
+permutations: ``group_elements`` from each element's matrix, and
+``apply_word`` from the product of its letters' matrices, both by
+``gates._linear_images``.
 
 The Cayley graph is explored breadth-first: appending a generator to the
 end of a circuit-time word is one edge, so the depth of an element's first
@@ -27,13 +29,13 @@ from enum import Enum
 import numpy as np
 
 from .gates import (
-    GENERATORS, GateKind, LinearMap2, as_linear_map, gate_perm, _check_dimension, _linear_images,
+    GATE_MATRICES, GENERATORS, GateKind, LinearMap2, as_linear_map, _check_dimension,
+    _linear_images,
 )
 from .perm import CostGuardError, Perm
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
 DEFAULT_MAX_DIMENSION = 31
-WORD_EVAL_MAX_DIMENSION = 64
 # bytes the closure's dense per-call state may take (``_key_state_bytes``):
 # 16.9 MB at d = 160, and d <= 254 fits
 KEY_STATE_BUDGET = 64 << 20
@@ -95,16 +97,17 @@ class GroupTooLarge:
 def apply_word(word: GateWord) -> Perm:
     """Evaluate a word in circuit time: the first letter acts first.
 
-    With composition (p * q)(i) = p(q(i)) that is  g_k * ... * g_1.
+    With composition (p * q)(i) = p(q(i)) that is  g_k * ... * g_1, whose
+    matrix is the product of the letters' matrices in that order, mod d.
     """
-    if word.d > WORD_EVAL_MAX_DIMENSION:
-        raise CostGuardError(
-            f"word evaluation guard: d = {word.d} exceeds {WORD_EVAL_MAX_DIMENSION}"
-        )
-    acc = Perm.identity(word.d * word.d)
+    d = word.d
+    a, b, c, e = 1 % d, 0, 0, 1 % d
     for letter in word.letters:
-        acc = gate_perm(letter, word.d) * acc
-    return acc
+        p, q, r, s = GATE_MATRICES[letter]
+        a, b, c, e = (
+            (p * a + q * c) % d, (p * b + q * e) % d, (r * a + s * c) % d, (r * b + s * e) % d
+        )
+    return Perm(_linear_images(d, a, b, c, e).ravel())
 
 
 @dataclass
@@ -209,7 +212,9 @@ def _closure_bfs(
     over only from a later parent, i > j.  No sort is needed.
     """
     code = _code_dtype(d)
-    tables = np.stack([gate_perm(letter, d).table for letter in GENERATORS]).astype(code)
+    tables = np.stack(
+        [_linear_images(d, *GATE_MATRICES[letter]).ravel() for letter in GENERATORS]
+    ).astype(code)
     bezout = _bezout_table(d)
     # per key: _UNSEEN, _VISITED, or within a layer the index i >= 0 of the
     # frontier element whose CNOT1 child claims it
@@ -344,8 +349,8 @@ def group_elements(
     first, second = np.concatenate(closure.layers, axis=1)
     out = []
     for start in range(0, len(first), _TABLE_SLICE):
-        a, c = np.divmod(first[start : start + _TABLE_SLICE, None, None], d)
-        b, e = np.divmod(second[start : start + _TABLE_SLICE, None, None], d)
+        a, c = np.divmod(first[start : start + _TABLE_SLICE, None], d)
+        b, e = np.divmod(second[start : start + _TABLE_SLICE, None], d)
         out.extend(Perm(table.ravel()) for table in _linear_images(d, a, b, c, e))
     return out
 

@@ -63,7 +63,8 @@ def test_criterion_02_qutrit_matrix_fixtures(run_cli):
             assert code == 0
             assert out == grid + "\n"
             code, report = cli_json(run_cli, "export", "--d", "3", "--gate", gate)
-            matrix = PermMatrix.from_json_payload(report["result"]["matrix"])
+            n, flat = report["result"]["matrix"]["n"], report["result"]["matrix"]["entries"]
+            matrix = PermMatrix(tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n)))
             assert exact_determinant(matrix) == det
 
 

@@ -277,6 +277,37 @@ def test_allocation_failure_exits_65_without_traceback(run_cli, monkeypatch):
         assert "Traceback" not in err
 
 
+def test_functions_the_benchmark_traces_are_called_by_those_names(run_cli, monkeypatch):
+    # bench/child.py times each layer by wrapping these module attributes;
+    # a builder renamed or bypassed would leave its layer silently at zero
+    import cnotswap.feasibility
+    from cnotswap import cli, synthesis
+    from cnotswap.perm import Perm
+
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(cli, "gate_perm")
+    assert run_cli("analyze", "--d", "5", "--gate", "swap")[0] == 0
+    assert calls == ["gate_perm"]
+    calls.clear()
+    for name in ("cnot1_perm", "cnot2_perm", "swap_perm"):
+        count(cnotswap.feasibility, name)
+    assert run_cli("decide", "--d", "5")[0] == 0
+    assert sorted(calls) == ["cnot1_perm", "cnot2_perm", "swap_perm"]
+    for owner, name in ((cli, "find_word"), (cli, "enumerate_group"), (cli, "decide"),
+                        (synthesis, "find_word"), (Perm, "signature"), (Perm, "cycle_type")):
+        assert callable(getattr(owner, name))
+
+
 # -- output discipline --
 
 
@@ -323,6 +354,22 @@ def test_golden_bytes_at_the_guard_bound(run_cli, argv, code_expected, sha256):
 def test_golden_bytes_of_human_and_matrix_output(run_cli, argv, sha256):
     code, out, _ = run_cli(*argv)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# sha256 of stdout and the exit code of matrix outputs up to the matrix guard,
+# recorded while they were still built from the tuple matrix of Perm.to_matrix
+@pytest.mark.parametrize("argv,code_expected,sha256", [
+    (["analyze", "--d", "64", "--gate", "cnot2", "--matrix"], 0,
+     "d5643f6fbb561794f2de8e7f04773bec9c65288f3869ae913cc38ff20df3e95b"),
+    (["export", "--d", "64", "--gate", "cnot1", "--format", "csv"], 0,
+     "c4c7e31929df99c65061e73030c146f57fa4f690c945b1de5fbddc20570db021"),
+    (["export", "--d", "32", "--gate", "swap", "--format", "json"], 0,
+     "2f8c8ced0afd3d8d6862f7ec4d5b518c1883331e5f7f918ad4ff8bbcd0dd9cf3"),
+])
+def test_golden_bytes_of_large_matrix_output(run_cli, argv, code_expected, sha256):
+    code, out, _ = run_cli(*argv)
+    assert code == code_expected
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 

@@ -341,15 +341,6 @@ def test_matrix_rows_are_exact_unit_vectors():
         assert all(type(v) is int for row in rows for v in row)
 
 
-def test_matrix_formats_round_trip():
-    m = Perm([1, 0, 2]).to_matrix()
-    assert m.pretty() == "0 1 0\n1 0 0\n0 0 1"
-    assert m.csv() == "0,1,0\n1,0,0\n0,0,1"
-    payload = m.json_payload()
-    assert payload == {"n": 3, "entries": [0, 1, 0, 1, 0, 0, 0, 0, 1]}
-    assert PermMatrix.from_json_payload(payload) == m
-
-
 # -- determinant oracle --
 
 

@@ -158,6 +158,10 @@ def test_apply_word_matches_explicit_fold():
         d = rng.randint(1, 5)
         letters = tuple(rng.choice([C1, C2]) for _ in range(rng.randint(0, 8)))
         assert apply_word(word(d, *letters)) == eval_letters(d, letters)
+    for d in (65, 97):
+        for length in (1, 8, 2 * d):
+            letters = tuple(rng.choice([C1, C2]) for _ in range(length))
+            assert apply_word(word(d, *letters)) == eval_letters(d, letters)
 
 
 def test_word_rejects_non_generator_letters():
@@ -168,11 +172,6 @@ def test_word_rejects_non_generator_letters():
 def test_word_rejects_dimension_zero():
     with pytest.raises(ValueError):
         GateWord(d=0, letters=())
-
-
-def test_word_evaluation_guard():
-    with pytest.raises(CostGuardError):
-        apply_word(word(65))
 
 
 # -- group enumeration --
