@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cnotswap.feasibility import Verdict, decide
 from cnotswap.gates import swap_perm
+from cnotswap.perm import CostGuardError
 from cnotswap.synthesis import SearchOutcome, enumerate_group, find_word
 
 
@@ -54,6 +55,9 @@ def print_table(rows: list[dict]) -> None:
     print(header)
     print("-" * len(header))
     for r in rows:
+        if "guard" in r:
+            print(f"{r['d']:>3} stopped by the {r['guard']}")
+            continue
         order = "-" if r["group_order"] is None else str(r["group_order"])
         search = r["search"] or "-"
         word = " ".join(r["word"]) if r["word"] else ("-" if r["word"] is None else "(empty)")
@@ -72,17 +76,26 @@ def main() -> int:
     parser.add_argument("--json-out", type=Path, default=None)
     args = parser.parse_args()
 
-    rows = [sweep_row(args, d) for d in range(args.d_min, args.d_max + 1)]
+    rows = []
+    for d in range(args.d_min, args.d_max + 1):
+        try:
+            rows.append(sweep_row(args, d))
+        except CostGuardError as exc:
+            rows.append({"d": d, "guard": str(exc)})
     print_table(rows)
 
-    obstructed = [r["d"] for r in rows if r["verdict"] == Verdict.INFEASIBLE_BY_PARITY.value]
-    unreachable = [r["d"] for r in rows if r["search"] == SearchOutcome.UNREACHABLE_EXHAUSTED.value]
-    found = [r["d"] for r in rows if r["search"] == SearchOutcome.FOUND.value]
+    obstructed = [r["d"] for r in rows if r.get("verdict") == Verdict.INFEASIBLE_BY_PARITY.value]
+    unreachable = [r["d"] for r in rows
+                   if r.get("search") == SearchOutcome.UNREACHABLE_EXHAUSTED.value]
+    found = [r["d"] for r in rows if r.get("search") == SearchOutcome.FOUND.value]
+    guarded = [r["d"] for r in rows if "guard" in r]
     print()
     print(f"parity-obstructed (d = 3 mod 4): {obstructed}")
     if not args.skip_search:
         print(f"search exhausted, swap unreachable: {unreachable}")
         print(f"swap synthesized: {found}")
+    if guarded:
+        print(f"stopped by a guard: {guarded}")
 
     if args.json_out is not None:
         args.json_out.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")

@@ -17,6 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from cnotswap.perm import CostGuardError
 from cnotswap.synthesis import GroupTooLarge, enumerate_group
 
 
@@ -44,14 +45,16 @@ def main() -> int:
 
     print(f"{'d':>3} {'order':>9} {'sl2(Z_d)':>9} {'match':>5} {'diameter':>8}  widest layer")
     mismatches = 0
-    capped = []
+    capped, guarded = [], []
     for d in range(args.d_min, args.d_max + 1):
-        census = enumerate_group(
-            d,
-            max_elements=args.max_elements,
-            max_dimension=max(args.d_max, 31),
-        )
         expected = sl2_order(d)
+        try:
+            census = enumerate_group(d, max_elements=args.max_elements,
+                                     max_dimension=max(args.d_max, 31))
+        except CostGuardError as exc:
+            guarded.append(d)
+            print(f"{d:>3} {'guard':>9} {expected:>9} {'-':>5} {'-':>8}  {exc}")
+            continue
         if isinstance(census, GroupTooLarge):
             capped.append(d)
             print(f"{d:>3} {'capped':>9} {expected:>9} {'-':>5} {'-':>8}  "
@@ -69,6 +72,8 @@ def main() -> int:
     if capped:
         summary += (f"; not checked, over the {args.max_elements}-element cap: "
                     f"d = {', '.join(map(str, capped))}")
+    if guarded:
+        summary += f"; not checked, stopped by a guard: d = {', '.join(map(str, guarded))}"
     print("\n" + summary)
     return 0
 

@@ -43,7 +43,6 @@ from .synthesis import (
     SearchOutcome,
     SynthesisResult,
     apply_word,
-    census_payload,
     enumerate_group,
     find_word,
     group_elements,
@@ -77,7 +76,6 @@ __all__ = [
     "SearchOutcome",
     "SynthesisResult",
     "apply_word",
-    "census_payload",
     "enumerate_group",
     "find_word",
     "group_elements",

@@ -2,8 +2,12 @@
 
 Subcommands: analyze (cycle type / signature of a gate), decide (parity
 verdict), synth (search for a CNOT word), group (census of the generated
-group), export (permutation matrix).  Results go to stdout, diagnostics to
-stderr.  Exit codes are a total function of the result variant:
+group), export (permutation matrix).  Each ``_run_*`` handler returns its
+exit code, its result dict and its human lines (str pieces, each line ending
+in a newline; a generator wherever the text is costly to build), and writes
+nothing.  ``main`` alone writes stdout: the ``--json`` report, whose
+``params`` are the parsed options, or else the human lines.  Diagnostics go
+to stderr.  Exit codes are a total function of the result variant:
 
     0  success / no parity obstruction / word found
     1  proven impossible (parity) or unreachable (exhaustion)
@@ -16,10 +20,11 @@ stderr.  Exit codes are a total function of the result variant:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from collections.abc import Iterator
+from dataclasses import asdict
 from itertools import compress, count, islice
-from json.encoder import encode_basestring_ascii
 from operator import is_not, ne
 
 from cnotswap import __version__
@@ -31,7 +36,6 @@ from .synthesis import (
     DEFAULT_MAX_ELEMENTS,
     GroupCensus,
     SearchOutcome,
-    census_payload,
     check_search_guards,
     enumerate_group,
     find_word,
@@ -134,52 +138,20 @@ def _repeated(unit: str, times: int) -> Iterator[str]:
         yield unit * (times % per)
 
 
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == float("inf"):
-        return "Infinity"
-    if value == -float("inf"):
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _scalar_text(value) -> str | None:
-    """JSON text of a scalar, in the order of checks ``json`` makes; None for
-    a list, tuple or dict."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _key_text(key) -> str:
     """JSON text of a dict key: a non-str scalar key becomes its text quoted."""
     if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    text = _scalar_text(key)
-    if text is None:
+        return json.dumps(key)
+    if not isinstance(key, (int, float, type(None))):
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return '"' + text + '"'
+    return '"' + json.dumps(key) + '"'
 
 
 def _json_pieces(value, newline: str) -> Iterator[str]:
     """Pieces of the JSON text of ``value``; ``newline`` is a line break plus
     the indent of the line the value starts on."""
-    text = _scalar_text(value)
-    if text is not None:
-        yield text
+    if not isinstance(value, (list, tuple, dict)):
+        yield json.dumps(value)
         return
     inner = newline + "  "
     if isinstance(value, dict):
@@ -200,7 +172,7 @@ def _json_pieces(value, newline: str) -> Iterator[str]:
     for start, stop in _runs(value):
         first = value[start]
         if type(first) in _RUN_TYPES:
-            text = _scalar_text(first)
+            text = json.dumps(first)
             yield prefix + text
             yield from _repeated("," + inner + text, stop - start - 1)
         else:
@@ -226,23 +198,10 @@ def write_json(value, write) -> None:
         write(piece)
 
 
-def _print_json(value) -> None:
-    write_json(value, sys.stdout.write)
-    sys.stdout.write("\n")
-
-
-def _print_json_report(command: str, params: dict, result: dict) -> None:
-    _print_json({"command": command, "params": params, "result": result,
-                 "version": __version__})
-
-
-def _print_report(args, command: str, params: dict, result: dict, human) -> None:
-    """The ``--json`` report, or else the lines ``human()`` returns."""
-    if args.json:
-        _print_json_report(command, params, result)
-    else:
-        for line in human():
-            print(line)
+def _json_lines(value) -> Iterator[str]:
+    """The text ``write_json`` writes for ``value``, in pieces, and a newline."""
+    yield from _json_pieces(value, "\n")
+    yield "\n"
 
 
 def _cycle_type_text(ct) -> str:
@@ -254,12 +213,12 @@ def _sig_text(sig: int) -> str:
     return f"{sig:+d}"
 
 
-def _print_matrix(perm: Perm, sep: str) -> None:
-    """Print the permutation matrix (entry [j][i] = 1 iff perm maps i to j) row
-    by row, digits joined by ``sep``: row j has its one 1 at column perm^-1(j)."""
+def _matrix_lines(perm: Perm, sep: str) -> Iterator[str]:
+    """The permutation matrix (entry [j][i] = 1 iff perm maps i to j) row by
+    row, digits joined by ``sep``: row j has its one 1 at column perm^-1(j)."""
     n = len(perm)
     for k in perm.inverse().table.tolist():
-        print(("0" + sep) * k + "1" + (sep + "0") * (n - 1 - k))
+        yield ("0" + sep) * k + "1" + (sep + "0") * (n - 1 - k) + "\n"
 
 
 def _matrix_payload(perm: Perm) -> dict:
@@ -271,165 +230,95 @@ def _matrix_payload(perm: Perm) -> dict:
     return {"n": n, "entries": entries}
 
 
-def _run_analyze(args) -> int:
-    if args.d > ANALYZE_DIMENSION_LIMIT:
-        raise CostGuardError(
-            f"analyze guard: d = {args.d} exceeds {ANALYZE_DIMENSION_LIMIT}"
-        )
-    if args.matrix and args.d > MATRIX_DIMENSION_LIMIT:
-        raise CostGuardError(
-            f"matrix guard: d = {args.d} exceeds {MATRIX_DIMENSION_LIMIT}"
-        )
-    kind = GateKind(args.gate)
-    perm = gate_perm(kind, args.d)
+def _guard(name: str, d: int, limit: int) -> None:
+    if d > limit:
+        raise CostGuardError(f"{name} guard: d = {d} exceeds {limit}")
+
+
+def _run_analyze(args):
+    _guard("analyze", args.d, ANALYZE_DIMENSION_LIMIT)
+    if args.matrix:
+        _guard("matrix", args.d, MATRIX_DIMENSION_LIMIT)
+    perm = gate_perm(GateKind(args.gate), args.d)
     ct = perm.cycle_type()
     sig = perm.signature()
     fixed = len(perm.fixed_points())
-    if args.json:
-        result = {
-            "gate": kind.value,
-            "d": args.d,
-            "cycle_type": ct,
-            "signature": sig,
-            "fixed_points": fixed,
-            "matrix": _matrix_payload(perm) if args.matrix else None,
-        }
-        _print_json_report("analyze", {"d": args.d, "gate": kind.value, "matrix": args.matrix},
-                           result)
-        return EXIT_OK
-    print(f"gate: {kind.value}")
-    print(f"d: {args.d}")
-    print(f"cycle type: {_cycle_type_text(ct)}")
-    print(f"signature: {_sig_text(sig)}")
-    print(f"fixed points: {fixed}")
-    if args.matrix:
-        _print_matrix(perm, " ")
-    return EXIT_OK
+    matrix = _matrix_payload(perm) if args.json and args.matrix else None
+    result = {"gate": args.gate, "d": args.d, "cycle_type": ct, "signature": sig,
+              "fixed_points": fixed, "matrix": matrix}
+
+    def lines():
+        yield f"gate: {args.gate}\n"
+        yield f"d: {args.d}\n"
+        yield f"cycle type: {_cycle_type_text(ct)}\n"
+        yield f"signature: {_sig_text(sig)}\n"
+        yield f"fixed points: {fixed}\n"
+        if args.matrix:
+            yield from _matrix_lines(perm, " ")
+
+    return EXIT_OK, result, lines()
 
 
-def _run_decide(args) -> int:
+def _run_decide(args):
     decision = decide(args.d)
     rep = decision.report
-    result = {
-        "verdict": decision.verdict.value,
-        "report": {
-            "d": rep.d,
-            "sig_cnot1": rep.sig_cnot1,
-            "sig_cnot2": rep.sig_cnot2,
-            "sig_swap": rep.sig_swap,
-            "d_mod_4": rep.d_mod_4,
-        },
-    }
-    human = lambda: [
-        f"d: {rep.d} (d mod 4 = {rep.d_mod_4})",
-        "signatures: cnot1 {}, cnot2 {}, swap {}".format(
-            _sig_text(rep.sig_cnot1), _sig_text(rep.sig_cnot2), _sig_text(rep.sig_swap)
-        ),
-        f"verdict: {decision.verdict.value}",
-    ]
-    _print_report(args, "decide", {"d": args.d}, result, human)
-    return EXIT_IMPOSSIBLE if decision.verdict is Verdict.INFEASIBLE_BY_PARITY else EXIT_OK
+    code = EXIT_IMPOSSIBLE if decision.verdict is Verdict.INFEASIBLE_BY_PARITY else EXIT_OK
+    return code, {"verdict": decision.verdict.value, "report": asdict(rep)}, (
+        f"d: {rep.d} (d mod 4 = {rep.d_mod_4})\n",
+        f"signatures: cnot1 {_sig_text(rep.sig_cnot1)}, cnot2 {_sig_text(rep.sig_cnot2)}, "
+        f"swap {_sig_text(rep.sig_swap)}\n",
+        f"verdict: {decision.verdict.value}\n",
+    )
 
 
-def _run_synth(args) -> int:
+def _run_synth(args):
     check_search_guards(args.d, args.max_dimension)  # before the target's d*d table
-    result = find_word(
-        args.d,
-        swap_perm(args.d),
-        max_depth=args.max_depth,
-        max_elements=args.max_elements,
-        max_dimension=args.max_dimension,
-    )
-    params = {
-        "d": args.d,
-        "target": args.target,
-        "max_depth": args.max_depth,
-        "max_elements": args.max_elements,
-        "max_dimension": args.max_dimension,
-    }
+    result = find_word(args.d, swap_perm(args.d), max_depth=args.max_depth,
+                       max_elements=args.max_elements, max_dimension=args.max_dimension)
+    outcome = result.outcome.value
     if result.outcome is SearchOutcome.FOUND:
-        word_names = [letter.name for letter in result.word.letters]
-        payload = {"outcome": result.outcome.value, "length": len(word_names),
-                   "word": word_names}
-        human = lambda: [
-            f"FOUND: length {len(word_names)}",
-            "word: " + (" ".join(word_names) if word_names else "(empty)"),
-        ]
-        code = EXIT_OK
-    elif result.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED:
-        payload = {"outcome": result.outcome.value, "group_order": result.group_order,
-                   "diameter": result.diameter}
-        human = lambda: [
-            f"UNREACHABLE_EXHAUSTED: group order {result.group_order}, "
-            f"diameter {result.diameter}"
-        ]
-        code = EXIT_IMPOSSIBLE
-    else:
-        payload = {"outcome": result.outcome.value, "explored_depth": result.explored_depth,
-                   "frontier_size": result.frontier_size}
-        human = lambda: [
-            f"DEPTH_LIMIT: explored depth {result.explored_depth}, "
-            f"frontier size {result.frontier_size}"
-        ]
-        code = EXIT_DEPTH_LIMIT
-    _print_report(args, "synth", params, payload, human)
-    return code
-
-
-def _run_group(args) -> int:
-    result = enumerate_group(
-        args.d,
-        max_elements=args.max_elements,
-        max_dimension=args.max_dimension,
-    )
-    params = {
-        "d": args.d,
-        "max_elements": args.max_elements,
-        "max_dimension": args.max_dimension,
-    }
-    if isinstance(result, GroupCensus):
-        payload = {"outcome": "census", **census_payload(result)}
-        human = lambda: [
-            f"d: {result.d}",
-            f"order: {result.order}",
-            f"diameter: {result.diameter}",
-            "counts by depth: " + " ".join(str(c) for c in result.counts_by_depth),
-        ]
-        code = EXIT_OK
-    else:
-        payload = {
-            "outcome": "too_large",
-            "d": result.d,
-            "max_elements": result.max_elements,
-            "elements_found": result.elements_found,
-        }
-        human = lambda: [
-            f"group too large: more than {result.max_elements} elements at d = {result.d} "
-            f"({result.elements_found} found before stopping)"
-        ]
-        code = EXIT_TOO_LARGE
-    _print_report(args, "group", params, payload, human)
-    return code
-
-
-def _run_export(args) -> int:
-    if args.d > MATRIX_DIMENSION_LIMIT:
-        raise CostGuardError(
-            f"matrix guard: d = {args.d} exceeds {MATRIX_DIMENSION_LIMIT}"
+        names = [letter.name for letter in result.word.letters]
+        return EXIT_OK, {"outcome": outcome, "length": len(names), "word": names}, (
+            f"FOUND: length {len(names)}\n",
+            f"word: {' '.join(names) or '(empty)'}\n",
         )
-    kind = GateKind(args.gate)
-    perm = gate_perm(kind, args.d)
-    if args.json:
-        result = {"gate": kind.value, "d": args.d, "format": args.format,
-                  "matrix": _matrix_payload(perm)}
-        _print_json_report("export", {"d": args.d, "gate": kind.value, "format": args.format},
-                           result)
-        return EXIT_OK
-    if args.format == "json":
-        _print_json(_matrix_payload(perm))
-    else:
-        _print_matrix(perm, " " if args.format == "pretty" else ",")
-    return EXIT_OK
+    if result.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED:
+        return EXIT_IMPOSSIBLE, {"outcome": outcome, "group_order": result.group_order,
+                                 "diameter": result.diameter}, (
+            f"UNREACHABLE_EXHAUSTED: group order {result.group_order}, "
+            f"diameter {result.diameter}\n",
+        )
+    return EXIT_DEPTH_LIMIT, {"outcome": outcome, "explored_depth": result.explored_depth,
+                              "frontier_size": result.frontier_size}, (
+        f"DEPTH_LIMIT: explored depth {result.explored_depth}, "
+        f"frontier size {result.frontier_size}\n",
+    )
+
+
+def _run_group(args):
+    result = enumerate_group(args.d, max_elements=args.max_elements,
+                             max_dimension=args.max_dimension)
+    if isinstance(result, GroupCensus):
+        return EXIT_OK, {"outcome": "census", **asdict(result)}, (
+            f"d: {result.d}\n",
+            f"order: {result.order}\n",
+            f"diameter: {result.diameter}\n",
+            f"counts by depth: {' '.join(map(str, result.counts_by_depth))}\n",
+        )
+    return EXIT_TOO_LARGE, {"outcome": "too_large", **asdict(result)}, (
+        f"group too large: more than {result.max_elements} elements at d = {result.d} "
+        f"({result.elements_found} found before stopping)\n",
+    )
+
+
+def _run_export(args):
+    _guard("matrix", args.d, MATRIX_DIMENSION_LIMIT)
+    perm = gate_perm(GateKind(args.gate), args.d)
+    if args.json or args.format == "json":
+        matrix = _matrix_payload(perm)
+        result = {"gate": args.gate, "d": args.d, "format": args.format, "matrix": matrix}
+        return EXIT_OK, result, _json_lines(matrix)
+    return EXIT_OK, None, _matrix_lines(perm, " " if args.format == "pretty" else ",")
 
 
 _HANDLERS = {
@@ -447,7 +336,13 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.error("a command is required")
     try:
-        return _HANDLERS[args.command](args)
+        code, result, lines = _HANDLERS[args.command](args)
+        if args.json:
+            params = {k: v for k, v in vars(args).items() if k not in ("command", "json")}
+            lines = _json_lines({"command": args.command, "params": params, "result": result,
+                                 "version": __version__})
+        sys.stdout.writelines(lines)
+        return code
     except CostGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -395,13 +395,3 @@ def find_word(
         explored_depth=closure.stopped_depth,
         frontier_size=closure.stopped_frontier,
     )
-
-
-def census_payload(census: GroupCensus) -> dict:
-    """The census as plain JSON data, as the CLI emits it."""
-    return {
-        "d": census.d,
-        "order": census.order,
-        "diameter": census.diameter,
-        "counts_by_depth": list(census.counts_by_depth),
-    }

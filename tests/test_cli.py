@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnotswap.cli import write_json
+from cnotswap.cli import main, write_json
 from cnotswap.gates import swap_perm
 from qutrit_tables import CNOT1_MATRIX_D3, CNOT2_MATRIX_D3, SWAP_MATRIX_D3
 
@@ -131,10 +133,9 @@ def test_synth_guard_override(run_cli):
 def test_group_census(run_cli):
     code, out, _ = run_cli("group", "--d", "2", "--json")
     assert code == 0
-    result = parse_report(out)["result"]
-    assert result["order"] == 6
-    assert result["diameter"] == 3
-    assert result["counts_by_depth"] == [1, 2, 2, 1]
+    assert parse_report(out)["result"] == {
+        "outcome": "census", "d": 2, "order": 6, "diameter": 3, "counts_by_depth": [1, 2, 2, 1],
+    }
 
 
 def test_group_degenerate(run_cli):
@@ -163,6 +164,12 @@ def test_search_params_schema(run_cli):
     assert parse_report(out)["params"] == {
         "d": 2, "max_elements": 10_000_000, "max_dimension": 31,
     }
+    _, out, _ = run_cli("analyze", "--d", "2", "--gate", "cnot1", "--json")
+    assert parse_report(out)["params"] == {"d": 2, "gate": "cnot1", "matrix": False}
+    _, out, _ = run_cli("decide", "--d", "2", "--json")
+    assert parse_report(out)["params"] == {"d": 2}
+    _, out, _ = run_cli("export", "--d", "2", "--gate", "swap", "--json")
+    assert parse_report(out)["params"] == {"d": 2, "gate": "swap", "format": "pretty"}
 
 
 # -- export --
@@ -306,6 +313,72 @@ def test_functions_the_benchmark_traces_are_called_by_those_names(run_cli, monke
     for owner, name in ((cli, "find_word"), (cli, "enumerate_group"), (cli, "decide"),
                         (synthesis, "find_word"), (Perm, "signature"), (Perm, "cycle_type")):
         assert callable(getattr(owner, name))
+
+
+# -- argv fuzzing --
+
+
+# d up to 8, and the guard values, which stop a run before it allocates:
+# 32 (search), 65 (matrix), 255 with --max-dimension 255 (key state), 1001
+OPTIONS = {
+    "--d": [str(d) for d in range(1, 9)] + ["32", "65", "255", "1001"],
+    "--gate": ["cnot1", "cnot2", "swap"],
+    "--format": ["pretty", "json", "csv"],
+    "--target": ["swap"],
+    "--max-depth": ["0", "1", "3"],
+    "--max-elements": ["1", "4", "24", "25"],
+    "--max-dimension": ["1", "8", "31", "255", "1001"],
+    "--json": [],
+    "--matrix": [],
+}
+COMMAND_OPTIONS = {
+    "analyze": ["--gate", "--matrix"],
+    "decide": [],
+    "synth": ["--target", "--max-depth", "--max-elements", "--max-dimension"],
+    "group": ["--max-elements", "--max-dimension"],
+    "export": ["--gate", "--format"],
+}
+# a bare flag takes the next token as its value, so junk reaches values too
+JUNK = ["bogus", "", "-1", "0", "2.5", "1e3", "xml", "--nope", "--d=x", "--", "--d", "--gate",
+        "--max-depth"]
+
+
+def option(flag):
+    if not OPTIONS[flag]:
+        return st.just([flag])
+    return st.sampled_from(OPTIONS[flag]).map(lambda value: [flag, value])
+
+
+@st.composite
+def argvs(draw):
+    """Mostly a command and its own options, each required one left out one
+    time in ten, then an option of another command or a junk token, shuffled.
+    The command itself is junk one time in ten."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS) if draw(st.integers(0, 9)) else JUNK))
+    flags = ["--d", "--json", *COMMAND_OPTIONS.get(command, [])]
+    parts = [draw(option(flag)) for flag in ("--d", "--gate")
+             if flag in flags and draw(st.integers(0, 9))]
+    parts += draw(st.lists(st.sampled_from(flags).flatmap(option), max_size=4))
+    parts += draw(st.lists(st.sampled_from(sorted(OPTIONS)).flatmap(option)
+                           | st.sampled_from(JUNK).map(lambda token: [token]), max_size=1))
+    return [command, *(token for part in draw(st.permutations(parts)) for token in part)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_any_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in {0, 1, 2, 3, 64, 65}
+    assert "Traceback" not in err.getvalue()
+    if code <= 3:
+        assert err.getvalue() == ""
+        if "--json" in argv:
+            assert set(json.loads(out.getvalue())) == {"command", "params", "result", "version"}
 
 
 # -- output discipline --

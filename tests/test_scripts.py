@@ -34,3 +34,24 @@ def test_group_growth_reports_dimensions_over_the_element_cap():
         "all orders match the SL(2, Z_d) formula; "
         "not checked, over the 50-element cap: d = 5, 6"
     )
+
+
+@pytest.mark.parametrize("script,argv,summary", [
+    ("group_growth.py", ["--d-min", "255", "--d-max", "255"],
+     "all orders match the SL(2, Z_d) formula; not checked, stopped by a guard: d = 255"),
+    ("dimension_sweep.py", ["--d-min", "1001", "--d-max", "1001", "--skip-search"],
+     "stopped by a guard: [1001]"),
+], ids=["group_growth", "dimension_sweep"])
+def test_scripts_report_a_guard_as_a_row(script, argv, summary):
+    # the key-state budget stops d = 255 and the parity guard d = 1001, both
+    # before they allocate
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.rstrip().splitlines()
+    assert lines[-1] == summary
+    rows = [line for line in lines if line.startswith(argv[1] + " ")]
+    assert len(rows) == 1 and "guard" in rows[0]

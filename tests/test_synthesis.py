@@ -23,7 +23,6 @@ from cnotswap.synthesis import (
     SearchOutcome,
     SynthesisResult,
     apply_word,
-    census_payload,
     enumerate_group,
     find_word,
     group_elements,
@@ -475,16 +474,6 @@ def test_capped_searches_are_true_whenever_conclusive():
                     assert target not in true_dist
                 else:
                     assert true_dist.get(target, cap + 1) > cap
-
-
-def test_census_payload_schema():
-    payload = census_payload(enumerate_group(2))
-    assert payload == {
-        "d": 2,
-        "order": 6,
-        "diameter": 3,
-        "counts_by_depth": [1, 2, 2, 1],
-    }
 
 
 # -- the column-code kernel against the d**4-key reference --
