@@ -18,22 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cnotswap.perm import CostGuardError
-from cnotswap.synthesis import GroupTooLarge, enumerate_group
-
-
-def sl2_order(d: int) -> int:
-    order = d**3
-    rest = d
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            order = order * (p * p - 1) // (p * p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        order = order * (rest * rest - 1) // (rest * rest)
-    return order
+from cnotswap.synthesis import GroupTooLarge, enumerate_group, sl2_order
 
 
 def main() -> int:

@@ -46,6 +46,7 @@ from .synthesis import (
     enumerate_group,
     find_word,
     group_elements,
+    sl2_order,
 )
 
 __all__ = [
@@ -79,5 +80,6 @@ __all__ = [
     "enumerate_group",
     "find_word",
     "group_elements",
+    "sl2_order",
     "__version__",
 ]

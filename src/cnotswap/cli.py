@@ -7,7 +7,7 @@ exit code, its result dict and its human lines (str pieces, each line ending
 in a newline; a generator wherever the text is costly to build), and writes
 nothing.  ``main`` alone writes stdout: the ``--json`` report, whose
 ``params`` are the parsed options, or else the human lines.  Diagnostics go
-to stderr.  Exit codes are a total function of the result variant:
+to stderr.  Exit codes, 74 aside, are a total function of the result:
 
     0  success / no parity obstruction / word found
     1  proven impossible (parity) or unreachable (exhaustion)
@@ -15,17 +15,19 @@ to stderr.  Exit codes are a total function of the result variant:
     3  group larger than the element cap
     64 usage error
     65 cost guard exceeded, or memory ran out
+    74 stdout closed before the output was written (e.g. ``| head``)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import asdict
 from itertools import compress, count, islice
-from operator import is_not, ne
+from operator import ne
 
 from cnotswap import __version__
 from .feasibility import PARITY_DIMENSION_LIMIT, Verdict, decide
@@ -47,6 +49,7 @@ EXIT_DEPTH_LIMIT = 2
 EXIT_TOO_LARGE = 3
 EXIT_USAGE = 64
 EXIT_GUARD = 65
+EXIT_OUTPUT_CLOSED = 74
 
 ANALYZE_DIMENSION_LIMIT = PARITY_DIMENSION_LIMIT
 MATRIX_DIMENSION_LIMIT = 64  # d*d rows of d*d entries beyond this is unhelpful
@@ -108,22 +111,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-# exact types whose equal items always encode to equal text: floats are left
-# out because -0.0 == 0.0, and the type check keeps 1 apart from True
-_RUN_TYPES = (int, bool, str, type(None))
+# a list of one of these exact types goes out in runs: its equal items encode
+# to equal text (not so for floats, where -0.0 == 0.0, nor for 1 == True)
+_RUN_TYPES = [{int}, {bool}, {str}, {type(None)}]
 _PIECE_CHARS = 1 << 16
 
 
 def _runs(items) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each maximal run of adjacent items equal in type and value.
-
-    The comparisons run in C over the whole sequence; only the run
-    boundaries become Python objects.
-    """
-    breaks = set(compress(count(1), map(ne, items, islice(items, 1, None))))
-    types = map(type, items), map(type, islice(items, 1, None))
-    breaks.update(compress(count(1), map(is_not, *types)))
-    edges = sorted(breaks | {0, len(items)})
+    """(start, stop) of each maximal run of equal adjacent items; the
+    comparisons run in C, and only the run edges become Python objects."""
+    edges = [0, *compress(count(1), map(ne, items, islice(items, 1, None))), len(items)]
     return zip(edges, edges[1:])
 
 
@@ -138,50 +135,28 @@ def _repeated(unit: str, times: int) -> Iterator[str]:
         yield unit * (times % per)
 
 
-def _key_text(key) -> str:
-    """JSON text of a dict key: a non-str scalar key becomes its text quoted."""
-    if isinstance(key, str):
-        return json.dumps(key)
-    if not isinstance(key, (int, float, type(None))):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return '"' + json.dumps(key) + '"'
-
-
 def _json_pieces(value, newline: str) -> Iterator[str]:
     """Pieces of the JSON text of ``value``; ``newline`` is a line break plus
     the indent of the line the value starts on."""
-    if not isinstance(value, (list, tuple, dict)):
-        yield json.dumps(value)
-        return
     inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         prefix = "{" + inner
         for key, item in sorted(value.items()):
-            yield prefix + _key_text(key) + ": "
+            yield prefix + json.dumps(key) + ": "
             yield from _json_pieces(item, inner)
             prefix = "," + inner
         yield newline + "}"
-        return
-    if not value:
-        yield "[]"
-        return
-    prefix = "[" + inner
-    for start, stop in _runs(value):
-        first = value[start]
-        if type(first) in _RUN_TYPES:
-            text = json.dumps(first)
+    elif isinstance(value, (list, tuple)) and set(map(type, value)) in _RUN_TYPES:
+        prefix = "[" + inner
+        for start, stop in _runs(value):
+            text = json.dumps(value[start])
             yield prefix + text
             yield from _repeated("," + inner + text, stop - start - 1)
-        else:
-            for item in value[start:stop]:
-                yield prefix
-                yield from _json_pieces(item, inner)
-                prefix = "," + inner
-        prefix = "," + inner
-    yield newline + "]"
+            prefix = "," + inner
+        yield newline + "]"
+    else:
+        # exact: JSON text holds no raw line break inside a string
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def write_json(value, write) -> None:
@@ -189,10 +164,10 @@ def write_json(value, write) -> None:
 
     ``value`` is built of dicts, lists, tuples, str, int, float, bool and
     None; other types raise TypeError, as in ``json.dumps``.  The text goes
-    out in pieces as it is made, and each run of equal adjacent list items
-    of one of the _RUN_TYPES goes out as one string repetition, so the cost
-    follows the bytes written, not the number of items, and the whole
-    document is never held at once.
+    out in pieces: a dict with str keys key by key, and a list of one of the
+    _RUN_TYPES with each run of equal items as one string repetition, so the
+    cost follows the bytes written and the document is never held at once.
+    Any other value goes out as one re-indented ``json.dumps`` piece.
     """
     for piece in _json_pieces(value, "\n"):
         write(piece)
@@ -207,10 +182,6 @@ def _json_lines(value) -> Iterator[str]:
 def _cycle_type_text(ct) -> str:
     body = "".join(f"{ct[start]}," * (stop - start) for start, stop in _runs(ct))
     return "(" + body[:-1] + ")"
-
-
-def _sig_text(sig: int) -> str:
-    return f"{sig:+d}"
 
 
 def _matrix_lines(perm: Perm, sep: str) -> Iterator[str]:
@@ -251,7 +222,7 @@ def _run_analyze(args):
         yield f"gate: {args.gate}\n"
         yield f"d: {args.d}\n"
         yield f"cycle type: {_cycle_type_text(ct)}\n"
-        yield f"signature: {_sig_text(sig)}\n"
+        yield f"signature: {sig:+d}\n"
         yield f"fixed points: {fixed}\n"
         if args.matrix:
             yield from _matrix_lines(perm, " ")
@@ -265,8 +236,7 @@ def _run_decide(args):
     code = EXIT_IMPOSSIBLE if decision.verdict is Verdict.INFEASIBLE_BY_PARITY else EXIT_OK
     return code, {"verdict": decision.verdict.value, "report": asdict(rep)}, (
         f"d: {rep.d} (d mod 4 = {rep.d_mod_4})\n",
-        f"signatures: cnot1 {_sig_text(rep.sig_cnot1)}, cnot2 {_sig_text(rep.sig_cnot2)}, "
-        f"swap {_sig_text(rep.sig_swap)}\n",
+        f"signatures: cnot1 {rep.sig_cnot1:+d}, cnot2 {rep.sig_cnot2:+d}, swap {rep.sig_swap:+d}\n",
         f"verdict: {decision.verdict.value}\n",
     )
 
@@ -343,6 +313,10 @@ def main(argv=None) -> int:
                                  "version": __version__})
         sys.stdout.writelines(lines)
         return code
+    except BrokenPipeError:
+        # else the exit-time flush hits the closed pipe and prints a warning
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
     except CostGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

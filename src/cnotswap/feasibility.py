@@ -50,7 +50,7 @@ def swap_signature_formula(d: int) -> int:
     return -1 if (d * (d - 1) // 2) % 2 else 1
 
 
-def parity_report(d: int, max_dimension: int = PARITY_DIMENSION_LIMIT) -> ParityReport:
+def parity_report(d: int) -> ParityReport:
     """Signatures computed from the actual gate permutations.
 
     Works for composite d, where no closed form is assumed.  The swap sign
@@ -58,9 +58,9 @@ def parity_report(d: int, max_dimension: int = PARITY_DIMENSION_LIMIT) -> Parity
     a hard error: the two routes are double-entry bookkeeping.
     """
     _check_dimension(d)
-    if d > max_dimension:
+    if d > PARITY_DIMENSION_LIMIT:
         raise CostGuardError(
-            f"parity guard: d = {d} exceeds {max_dimension} (permutations on d*d points)"
+            f"parity guard: d = {d} exceeds {PARITY_DIMENSION_LIMIT} (permutations on d*d points)"
         )
     sig_swap = swap_perm(d).signature()
     formula = swap_signature_formula(d)
@@ -78,13 +78,13 @@ def parity_report(d: int, max_dimension: int = PARITY_DIMENSION_LIMIT) -> Parity
     )
 
 
-def decide(d: int, max_dimension: int = PARITY_DIMENSION_LIMIT) -> Decision:
+def decide(d: int) -> Decision:
     """INFEASIBLE_BY_PARITY when both generators are even and swap is odd.
 
     Any other sign pattern leaves the question open; only an exhaustive
     search can settle it.
     """
-    report = parity_report(d, max_dimension=max_dimension)
+    report = parity_report(d)
     obstructed = (
         report.sig_cnot1 == 1 and report.sig_cnot2 == 1 and report.sig_swap == -1
     )

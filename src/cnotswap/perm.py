@@ -75,10 +75,6 @@ class Perm:
         """The image table itself, as a read-only int64 array (no copy)."""
         return self._image
 
-    @property
-    def n(self) -> int:
-        return len(self._image)
-
     def __len__(self) -> int:
         return len(self._image)
 
@@ -111,9 +107,6 @@ class Perm:
         inv = np.empty_like(self._image)
         inv[self._image] = np.arange(len(inv))
         return Perm(inv)
-
-    def is_identity(self) -> bool:
-        return np.array_equal(self._image, np.arange(len(self._image)))
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self._image == np.arange(len(self._image))).tolist())
@@ -222,16 +215,17 @@ class PermMatrix:
         return len(self.entries)
 
 
-def exact_determinant(matrix: PermMatrix, max_size: int = DETERMINANT_SIZE_LIMIT) -> int:
+def exact_determinant(matrix: PermMatrix) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination.
 
     Runs general integer elimination rather than reading the sign off the
     permutation structure, so it stays an independent oracle for
-    ``Perm.signature``.  Guarded to ``max_size`` because the cost is cubic.
+    ``Perm.signature``.  Guarded to DETERMINANT_SIZE_LIMIT rows because the
+    cost is cubic.
     """
     n = matrix.n
-    if n > max_size:
-        raise CostGuardError(f"determinant guard: {n} > {max_size} rows")
+    if n > DETERMINANT_SIZE_LIMIT:
+        raise CostGuardError(f"determinant guard: {n} > {DETERMINANT_SIZE_LIMIT} rows")
     a = [list(row) for row in matrix.entries]
     sign = 1
     prev = 1

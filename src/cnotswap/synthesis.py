@@ -314,6 +314,18 @@ def check_search_guards(d: int, max_dimension: int) -> None:
         )
 
 
+def sl2_order(d: int) -> int:
+    """Order of SL(2, Z_d), the group the two CNOTs generate: d**3 times the
+    product of (1 - p**-2) over the primes p dividing d."""
+    order, rest = d**3, d
+    for p in range(2, d + 1):  # a p that still divides rest is prime
+        if rest % p == 0:
+            order = order * (p * p - 1) // (p * p)
+            while rest % p == 0:
+                rest //= p
+    return order
+
+
 def enumerate_group(
     d: int,
     *,

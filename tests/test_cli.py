@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cnotswap.cli import main, write_json
 from cnotswap.gates import swap_perm
 from qutrit_tables import CNOT1_MATRIX_D3, CNOT2_MATRIX_D3, SWAP_MATRIX_D3
+from test_cli_goldens import GOLDENS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -530,6 +531,25 @@ def test_writer_memory_stays_below_the_output():
     assert peak < chars / 10
 
 
+@pytest.mark.parametrize("argv", [case[0] for case in GOLDENS] + [
+    ["analyze", "--d", "1000", "--gate", "swap", "--json"],
+    ["analyze", "--d", "16", "--gate", "cnot2", "--matrix", "--json"],
+    ["export", "--d", "16", "--gate", "swap", "--format", "json"],
+])
+def test_reports_stream_every_nonempty_container(run_cli, monkeypatch, argv):
+    # a report list that fell back to one whole json.dumps call would be
+    # held in memory at once instead of going out in runs
+    dumps = json.dumps
+
+    def scalar_dumps(value, *args, **kwargs):
+        assert not (isinstance(value, (list, tuple, dict)) and value), type(value)
+        return dumps(value, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", scalar_dumps)
+    code, _, _ = run_cli(*argv)
+    assert code in {0, 1, 2, 3, 65}
+
+
 
 
 def test_json_reports_round_trip_bytes(run_cli):
@@ -549,6 +569,26 @@ def test_identical_invocations_identical_bytes(run_cli):
     first = run_cli("group", "--d", "3", "--json")
     second = run_cli("group", "--d", "3", "--json")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--d", "1000", "--gate", "swap", "--json"],
+    ["analyze", "--d", "1000", "--gate", "swap"],
+    ["export", "--d", "64", "--gate", "swap", "--format", "csv"],
+])
+def test_closed_stdout_exits_74_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with subprocess.Popen([sys.executable, "-m", "cnotswap", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()  # as `| head -c 20` does
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    assert code == 74
+    assert err == b""
 
 
 def test_module_entry_point_subprocess():

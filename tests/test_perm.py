@@ -354,7 +354,6 @@ def test_determinant_guard():
     big = Perm.identity(257).to_matrix()
     with pytest.raises(CostGuardError):
         exact_determinant(big)
-    assert exact_determinant(big, max_size=257) == 1
 
 
 @settings(max_examples=60)

@@ -12,6 +12,7 @@ from cnotswap.gates import (
 )
 from cnotswap.perm import CostGuardError, Perm
 from cnotswap.synthesis import (
+    DEFAULT_MAX_DIMENSION,
     DEFAULT_MAX_ELEMENTS,
     _Closure,
     _bezout_table,
@@ -26,6 +27,7 @@ from cnotswap.synthesis import (
     enumerate_group,
     find_word,
     group_elements,
+    sl2_order,
 )
 
 C1, C2 = GateKind.CNOT1, GateKind.CNOT2
@@ -119,22 +121,6 @@ def brute_force_least_words(d, order):
     return least
 
 
-def sl2_order(d):
-    """Order of SL(2, Z_d): d**3 times prod over prime p | d of (1 - p**-2)."""
-    order = d**3
-    rest = d
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            order = order * (p * p - 1) // (p * p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        order = order * (rest * rest - 1) // (rest * rest)
-    return order
-
-
 # -- word evaluation --
 
 
@@ -209,10 +195,22 @@ def test_layer_counts_match_naive_closure(d):
     assert census.diameter == len(layers) - 1
 
 
-@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("d", range(1, DEFAULT_MAX_DIMENSION + 1))
 def test_order_matches_sl2_formula(d):
     # the generators act as the elementary 2x2 matrices over Z_d
     assert enumerate_group(d).order == sl2_order(d)
+
+
+@pytest.mark.parametrize("d", range(1, DEFAULT_MAX_DIMENSION + 1))
+def test_swap_is_found_exactly_for_d_up_to_2(d):
+    # SWAP has determinant -1, which SL(2, Z_d) holds only where -1 = 1
+    result = find_word(d, swap_perm(d))
+    if d <= 2:
+        assert result.outcome is SearchOutcome.FOUND
+        assert apply_word(result.word) == swap_perm(d)
+    else:
+        assert result.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED
+        assert result.group_order == sl2_order(d)
 
 
 def test_element_cap_yields_too_large():
