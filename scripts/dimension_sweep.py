@@ -18,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from cnotswap.cli import _positive_int
 from cnotswap.feasibility import Verdict, decide
 from cnotswap.gates import swap_perm
 from cnotswap.perm import CostGuardError
@@ -67,10 +68,10 @@ def print_table(rows: list[dict]) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--d-min", type=int, default=1)
-    parser.add_argument("--d-max", type=int, default=12)
-    parser.add_argument("--max-elements", type=int, default=2_000_000)
-    parser.add_argument("--max-dimension", type=int, default=31)
+    parser.add_argument("--d-min", type=_positive_int, default=1)
+    parser.add_argument("--d-max", type=_positive_int, default=12)
+    parser.add_argument("--max-elements", type=_positive_int, default=2_000_000)
+    parser.add_argument("--max-dimension", type=_positive_int, default=31)
     parser.add_argument("--skip-search", action="store_true",
                         help="report parity only, no group enumeration")
     parser.add_argument("--json-out", type=Path, default=None)

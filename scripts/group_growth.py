@@ -17,15 +17,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from cnotswap.cli import _positive_int
 from cnotswap.perm import CostGuardError
 from cnotswap.synthesis import GroupTooLarge, enumerate_group, sl2_order
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--d-min", type=int, default=1)
-    parser.add_argument("--d-max", type=int, default=15)
-    parser.add_argument("--max-elements", type=int, default=2_000_000)
+    parser.add_argument("--d-min", type=_positive_int, default=1)
+    parser.add_argument("--d-max", type=_positive_int, default=15)
+    parser.add_argument("--max-elements", type=_positive_int, default=2_000_000)
     args = parser.parse_args()
 
     print(f"{'d':>3} {'order':>9} {'sl2(Z_d)':>9} {'match':>5} {'diameter':>8}  widest layer")

@@ -3,9 +3,9 @@
 Subcommands: analyze (cycle type / signature of a gate), decide (parity
 verdict), synth (search for a CNOT word), group (census of the generated
 group), export (permutation matrix).  Each ``_run_*`` handler returns its
-exit code, its result dict and its human lines (str pieces, each line ending
-in a newline; a generator wherever the text is costly to build), and writes
-nothing.  ``main`` alone writes stdout: the ``--json`` report, whose
+exit code, its result dict and its human lines (str pieces, each ending in a
+newline; a generator where the text is costly), writes nothing and never
+reads ``--json``.  ``main`` alone writes stdout: the ``--json`` report, whose
 ``params`` are the parsed options, or else the human lines.  Diagnostics go
 to stderr.  Exit codes, 74 aside, are a total function of the result:
 
@@ -139,19 +139,27 @@ def _json_pieces(value, newline: str) -> Iterator[str]:
     """Pieces of the JSON text of ``value``; ``newline`` is a line break plus
     the indent of the line the value starts on."""
     inner = newline + "  "
-    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+    if isinstance(value, Perm):  # one entry a line: rows and entries share one separator
+        prefix = "[" + inner
+        for row in _matrix_rows(value, "," + inner):
+            yield prefix + row
+            prefix = "," + inner
+        yield newline + "]"
+    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         prefix = "{" + inner
         for key, item in sorted(value.items()):
             yield prefix + json.dumps(key) + ": "
             yield from _json_pieces(item, inner)
             prefix = "," + inner
         yield newline + "}"
-    elif isinstance(value, (list, tuple)) and set(map(type, value)) in _RUN_TYPES:
+    elif isinstance(value, (list, tuple)) and value:
+        runs = _runs(value if set(map(type, value)) in _RUN_TYPES else range(len(value)))
         prefix = "[" + inner
-        for start, stop in _runs(value):
-            text = json.dumps(value[start])
-            yield prefix + text
-            yield from _repeated("," + inner + text, stop - start - 1)
+        for start, stop in runs:
+            yield prefix
+            yield from _json_pieces(value[start], inner)
+            if stop - start > 1:
+                yield from _repeated("," + inner + json.dumps(value[start]), stop - start - 1)
             prefix = "," + inner
         yield newline + "]"
     else:
@@ -162,12 +170,12 @@ def _json_pieces(value, newline: str) -> Iterator[str]:
 def write_json(value, write) -> None:
     """Write ``json.dumps(value, indent=2, sort_keys=True)`` through ``write``.
 
-    ``value`` is built of dicts, lists, tuples, str, int, float, bool and
-    None; other types raise TypeError, as in ``json.dumps``.  The text goes
-    out in pieces: a dict with str keys key by key, and a list of one of the
-    _RUN_TYPES with each run of equal items as one string repetition, so the
-    cost follows the bytes written and the document is never held at once.
-    Any other value goes out as one re-indented ``json.dumps`` piece.
+    ``value`` is built of dicts, lists, tuples, str, int, float, bool, None and
+    ``Perm``, written as its matrix entries in row-major order; other types
+    raise TypeError, as in ``json.dumps``.  The text goes out in pieces, so the
+    cost follows the bytes written: a dict with str keys key by key, a ``Perm``
+    row by row, a list of one of the _RUN_TYPES run by run, any other list item
+    by item, and any other value as one re-indented ``json.dumps`` piece.
     """
     for piece in _json_pieces(value, "\n"):
         write(piece)
@@ -184,21 +192,12 @@ def _cycle_type_text(ct) -> str:
     return "(" + body[:-1] + ")"
 
 
-def _matrix_lines(perm: Perm, sep: str) -> Iterator[str]:
+def _matrix_rows(perm: Perm, sep: str) -> Iterator[str]:
     """The permutation matrix (entry [j][i] = 1 iff perm maps i to j) row by
     row, digits joined by ``sep``: row j has its one 1 at column perm^-1(j)."""
     n = len(perm)
     for k in perm.inverse().table.tolist():
-        yield ("0" + sep) * k + "1" + (sep + "0") * (n - 1 - k) + "\n"
-
-
-def _matrix_payload(perm: Perm) -> dict:
-    """The matrix as JSON data: its size and its entries in row-major order."""
-    n = len(perm)
-    entries = [0] * (n * n)
-    for j, k in enumerate(perm.inverse().table.tolist()):
-        entries[j * n + k] = 1
-    return {"n": n, "entries": entries}
+        yield ("0" + sep) * k + "1" + (sep + "0") * (n - 1 - k)
 
 
 def _guard(name: str, d: int, limit: int) -> None:
@@ -214,7 +213,7 @@ def _run_analyze(args):
     ct = perm.cycle_type()
     sig = perm.signature()
     fixed = len(perm.fixed_points())
-    matrix = _matrix_payload(perm) if args.json and args.matrix else None
+    matrix = {"n": len(perm), "entries": perm} if args.matrix else None
     result = {"gate": args.gate, "d": args.d, "cycle_type": ct, "signature": sig,
               "fixed_points": fixed, "matrix": matrix}
 
@@ -225,7 +224,7 @@ def _run_analyze(args):
         yield f"signature: {sig:+d}\n"
         yield f"fixed points: {fixed}\n"
         if args.matrix:
-            yield from _matrix_lines(perm, " ")
+            yield from map("{}\n".format, _matrix_rows(perm, " "))
 
     return EXIT_OK, result, lines()
 
@@ -284,11 +283,10 @@ def _run_group(args):
 def _run_export(args):
     _guard("matrix", args.d, MATRIX_DIMENSION_LIMIT)
     perm = gate_perm(GateKind(args.gate), args.d)
-    if args.json or args.format == "json":
-        matrix = _matrix_payload(perm)
-        result = {"gate": args.gate, "d": args.d, "format": args.format, "matrix": matrix}
-        return EXIT_OK, result, _json_lines(matrix)
-    return EXIT_OK, None, _matrix_lines(perm, " " if args.format == "pretty" else ",")
+    matrix = {"n": len(perm), "entries": perm}
+    lines = (_json_lines(matrix) if args.format == "json"
+             else map("{}\n".format, _matrix_rows(perm, " " if args.format == "pretty" else ",")))
+    return EXIT_OK, {"gate": args.gate, "d": args.d, "format": args.format, "matrix": matrix}, lines
 
 
 _HANDLERS = {

@@ -211,6 +211,8 @@ def _closure_bfs(
     claim their keys in ``owner`` first, and a CNOT2 child takes a claim
     over only from a later parent, i > j.  No sort is needed.
     """
+    if max_elements < 1:
+        raise ValueError("max_elements must be >= 1")
     code = _code_dtype(d)
     tables = np.stack(
         [_linear_images(d, *GATE_MATRICES[letter]).ravel() for letter in GENERATORS]

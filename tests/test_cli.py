@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cnotswap.cli import main, write_json
 from cnotswap.gates import swap_perm
+from cnotswap.perm import Perm
 from qutrit_tables import CNOT1_MATRIX_D3, CNOT2_MATRIX_D3, SWAP_MATRIX_D3
 from test_cli_goldens import GOLDENS
 
@@ -433,6 +434,7 @@ def test_golden_bytes_of_human_and_matrix_output(run_cli, argv, sha256):
 
 # sha256 of stdout and the exit code of matrix outputs up to the matrix guard,
 # recorded while they were still built from the tuple matrix of Perm.to_matrix
+# (the two d = 64 JSON ones: from the flat n*n-entry list that followed it)
 @pytest.mark.parametrize("argv,code_expected,sha256", [
     (["analyze", "--d", "64", "--gate", "cnot2", "--matrix"], 0,
      "d5643f6fbb561794f2de8e7f04773bec9c65288f3869ae913cc38ff20df3e95b"),
@@ -440,11 +442,44 @@ def test_golden_bytes_of_human_and_matrix_output(run_cli, argv, sha256):
      "c4c7e31929df99c65061e73030c146f57fa4f690c945b1de5fbddc20570db021"),
     (["export", "--d", "32", "--gate", "swap", "--format", "json"], 0,
      "2f8c8ced0afd3d8d6862f7ec4d5b518c1883331e5f7f918ad4ff8bbcd0dd9cf3"),
+    (["analyze", "--d", "64", "--gate", "swap", "--matrix", "--json"], 0,
+     "df3c4931a031709e57fbafa6888b95fae15782869e64028f244bf669fabeb8c0"),
+    (["export", "--d", "64", "--gate", "cnot1", "--format", "json"], 0,
+     "aa144e98d6d7523b3b4ed1599147394bbc6cf36c041a8b893722e5bf40f873a6"),
 ])
 def test_golden_bytes_of_large_matrix_output(run_cli, argv, code_expected, sha256):
     code, out, _ = run_cli(*argv)
     assert code == code_expected
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+class CharCount(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, piece):
+        self.chars += len(piece)
+        return len(piece)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--d", "64", "--gate", "swap", "--matrix", "--json"],
+    ["export", "--d", "64", "--gate", "cnot1", "--format", "json"],
+])
+def test_json_matrix_streams_from_the_permutation(argv):
+    # its 4096 * 4096 entries as one flat list would hold 134 MB of pointers
+    sink = CharCount()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 4096 * 4096 * 4
+    assert peak < 2 * 2**20
 
 
 # -- the JSON writer --
@@ -488,6 +523,35 @@ json_values = st.recursive(
 @given(json_values)
 def test_writer_matches_json_dumps(value):
     assert written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@st.composite
+def nested_perms(draw):
+    """A random Perm nested 0-3 levels deep in lists and dicts, and the same
+    value with the Perm replaced by its matrix entries as a flat list."""
+    image = draw(st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
+    n = len(image)
+    flat = [0] * (n * n)
+    for i, j in enumerate(image):
+        flat[j * n + i] = 1
+    value, expected = Perm(image), flat
+    for _ in range(draw(st.integers(0, 3))):
+        siblings = draw(st.lists(json_values, max_size=3))
+        at = draw(st.integers(0, len(siblings)))
+        value = [*siblings[:at], value, *siblings[at:]]
+        expected = [*siblings[:at], expected, *siblings[at:]]
+        if draw(st.booleans()):
+            keys = draw(st.lists(st.text(max_size=5), min_size=len(value),
+                                 max_size=len(value), unique=True))
+            value, expected = dict(zip(keys, value)), dict(zip(keys, expected))
+    return value, expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_perms())
+def test_writer_writes_a_perm_as_its_matrix_entries(pair):
+    value, expected = pair
+    assert written(value) == json.dumps(expected, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("value", [
@@ -575,6 +639,7 @@ def test_identical_invocations_identical_bytes(run_cli):
     ["analyze", "--d", "1000", "--gate", "swap", "--json"],
     ["analyze", "--d", "1000", "--gate", "swap"],
     ["export", "--d", "64", "--gate", "swap", "--format", "csv"],
+    ["export", "--d", "64", "--gate", "swap", "--format", "json"],
 ])
 def test_closed_stdout_exits_74_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=SRC)

@@ -55,3 +55,16 @@ def test_scripts_report_a_guard_as_a_row(script, argv, summary):
     assert lines[-1] == summary
     rows = [line for line in lines if line.startswith(argv[1] + " ")]
     assert len(rows) == 1 and "guard" in rows[0]
+
+
+@pytest.mark.parametrize("script", ["group_growth.py", "dimension_sweep.py"])
+@pytest.mark.parametrize("argv", [["--d-min", "0", "--d-max", "1"], ["--max-elements", "0"],
+                                  ["--d-max", "-3"]])
+def test_scripts_refuse_a_non_positive_integer_as_a_usage_error(script, argv):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "must be a positive integer" in proc.stderr

@@ -256,6 +256,22 @@ def test_element_cap_mid_layer_stops_at_exactly_the_cap(d, k):
         assert capped.frontier_size == counts[filling - 1]
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_searches_reject_an_element_cap_below_one(d, cap):
+    # before the check, d = 2 and cap 0 gave GroupTooLarge(elements_found=1),
+    # a count over the cap, and the identity target at d = 3 was FOUND
+    searches = [
+        lambda: enumerate_group(d, max_elements=cap),
+        lambda: group_elements(d, max_elements=cap),
+        lambda: find_word(d, swap_perm(d), max_elements=cap),
+        lambda: find_word(d, Perm.identity(d * d), max_elements=cap),
+    ]
+    for search in searches:
+        with pytest.raises(ValueError, match="max_elements must be >= 1"):
+            search()
+
+
 def test_dimension_guard_is_overridable():
     with pytest.raises(CostGuardError):
         enumerate_group(5, max_dimension=4)
@@ -438,7 +454,8 @@ def test_matrix_search_matches_image_table_reference(d):
     odd = Perm([1, 0] + list(range(2, d * d))) if d > 1 else Perm([0])
     targets = [swap_perm(d), odd] + elems[:: max(1, census.order // 8)]
     depth_caps = sorted({0, 1, census.diameter // 2, census.diameter})
-    element_caps = sorted({1, 2, census.order // 3, census.order - 1, census.order})
+    # a cap below 1 is refused (test_searches_reject_an_element_cap_below_one)
+    element_caps = sorted({1, 2, census.order // 3, census.order - 1, census.order} - {0})
     for cap in element_caps:
         assert enumerate_group(d, max_elements=cap) == reference_search(d, max_elements=cap)
     for target in targets:
@@ -572,6 +589,7 @@ def test_kernel_matches_the_d4_key_reference(d):
     targets = [None, as_linear_map(swap_perm(d), d), LinearMap2(d, 1 % d, 0, 0, -1 % d)]
     targets += elements[:: max(1, order // 6)] + elements[-1:]
     element_caps = {1, order - 1, order, order + 1} | {k for dd, k in MID_LAYER_CAPS if dd == d}
+    element_caps.discard(0)  # refused below 1 (test_searches_reject_an_element_cap_below_one)
     for target in targets:
         for max_depth in range(diameter + 2):
             assert_same_closure(
