@@ -2,12 +2,14 @@
 
 Both CNOTs act on digit pairs as the elementary matrices [[1,0],[1,1]] and
 [[1,1],[0,1]] over Z_d, so every group element is a 2x2 matrix of
-determinant 1.  The search holds each one as its two column codes (a column
-(u, v) is the basis state d*u + v) and marks it visited under a faithful key
-in 0 .. d**3 - 1.  Image tables are built only for callers that ask for
-permutations: ``group_elements`` from each element's matrix, and
-``apply_word`` from the product of its letters' matrices, both by
-``gates._linear_images``.
+determinant 1.  The search holds each one as its faithful key in
+0 .. d**3 - 1 (an int32), steps keys to their children through two
+d*d-entry tables per generator, and records each element's birth, its
+position among its layer's children, from which its parent and letter
+follow.  Image tables are built only for callers that ask for
+permutations: ``group_elements`` from each element's matrix, decoded from
+its key, and ``apply_word`` from the product of its letters' matrices, both
+by ``gates._linear_images``.
 
 The Cayley graph is explored breadth-first: appending a generator to the
 end of a circuit-time word is one edge, so the depth of an element's first
@@ -115,23 +117,17 @@ class _Closure:
     status: str  # "complete" | "found" | "depth_cap" | "element_cap"
     size: int
     layers: list[np.ndarray]
-    parents: list[np.ndarray]
-    letters: list[np.ndarray]
+    births: list[np.ndarray]
     counts_by_depth: list[int]
-    found_index: int = -1
     stopped_depth: int = 0
     stopped_frontier: int = 0
 
 
-def _code_dtype(d: int) -> type:
-    """Narrowest signed type holding every column code 0 .. d*d - 1."""
-    return np.int16 if d * d <= 2**15 else np.int32
-
-
 def _key_state_bytes(d: int) -> int:
     """Bytes of the closure's dense per-call state: the int32 owner of every
-    d**3 key, two generator tables of column codes and the int64 Bézout pair."""
-    return 4 * d**3 + d * d * (2 * np.dtype(_code_dtype(d)).itemsize + 16)
+    d**3 key and two int32 step tables per generator.  The int64 Bézout pair
+    that builds the tables is freed before ``owner`` is allocated."""
+    return 4 * d**3 + 2 * len(GENERATORS) * 4 * d * d
 
 
 def _bezout_table(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,6 +174,54 @@ def _keys(d: int, bezout: tuple[np.ndarray, np.ndarray], first, second):
     return key
 
 
+def _base_columns(d: int, bezout: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Code of s0(f) = (-y, x) at every column code f: the second column of
+    the det-1 matrix with first column f and key offset t = 0."""
+    x, y = bezout
+    return -y % d * d + x
+
+
+def _decode(d: int, bezout: tuple[np.ndarray, np.ndarray], keys):
+    """(a, b, c, e) of the det-1 matrices with the given keys f*d + t: first
+    column f = (a, c), second column s0(f) + t*(a, c)."""
+    first, t = np.divmod(keys, d)
+    a, c = np.divmod(first, d)
+    b0, e0 = np.divmod(_base_columns(d, bezout)[first], d)
+    return a, (b0 + t * a) % d, c, (e0 + t * c) % d
+
+
+def _step_tables(d: int, bezout: tuple[np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, ...]]:
+    """Per generator G, the int32 tables (d*T_G, off_G) over column codes f.
+
+    The matrix with key f*d + t has columns f and s0(f) + t*f, so G times it
+    has columns G*f and G*s0(f) + t*G*f.  T_G[f] is the code of G*f, and
+    off_G[f] the offset that (x, y) of G*f reads off G*s0(f).  Since
+    x*(G*f)_1 + y*(G*f)_2 = 1, it reads t off t*G*f, so the child's key is
+    d*T_G[f] + (t + off_G[f] mod d).
+    """
+    base = _base_columns(d, bezout)
+    tables = []
+    for letter in GENERATORS:
+        images = _linear_images(d, *GATE_MATRICES[letter]).ravel()
+        offsets = _keys(d, bezout, images, images[base]) % d
+        tables.append(((images * d).astype(np.int32), offsets.astype(np.int32)))
+    return tables
+
+
+def _step(d: int, table: tuple[np.ndarray, np.ndarray], first, t) -> np.ndarray:
+    """Keys of G*M for the matrices M with int32 keys first*d + t, from one
+    generator's ``_step_tables`` entry."""
+    scaled, offsets = table
+    # s = t + off < 2*d; as uint32, s - d wraps above 2**31 exactly when
+    # s < d, so min(s, s - d) is s mod d
+    child = offsets.take(first).view(np.uint32)
+    child += t.view(np.uint32)
+    np.minimum(child, child - np.uint32(d), out=child)
+    child = child.view(np.int32)
+    child += scaled.take(first)
+    return child
+
+
 _UNSEEN, _VISITED = -1, -2
 
 
@@ -191,21 +235,21 @@ def _closure_bfs(
     """Deterministic breadth-first closure over {CNOT1, CNOT2}.
 
     An element, the 2x2 matrix (a, b, c, e) over Z_d in the ``LinearMap2``
-    convention, is held as its two column codes a*d + c and b*d + e, one
-    column of ``layers[k]`` (shape (2, n)) each.  A column (u, v) is the
-    basis state d*u + v, and a generator multiplies every column of M the way
-    its gate maps basis states, so children are gathers from the gates' own
-    image tables: CNOT1 sends (u, v) to (u, u + v), CNOT2 to (u + v, v).
+    convention, is held as its int32 key f*d + t from ``_keys``: its first
+    column f = a*d + c and the offset t of its second column from s0(f).
+    The key is faithful on SL(2, Z_d), so it is the element, and
+    ``_step_tables`` gives each generator's child key straight from it.
 
     Membership is exact, not a lossy hash, because certificates of
-    unreachability rely on it: every element has determinant 1, and on
-    SL(2, Z_d) the key of ``_keys`` is faithful, so one int32 ``owner`` entry
-    per key in 0 .. d**3 - 1 marks it.  A target of another determinant gets
-    no key and is never met.
+    unreachability rely on it: one int32 ``owner`` entry per key in
+    0 .. d**3 - 1 marks it.  A target of another determinant gets no key and
+    is never met.
 
     Per layer the children are interleaved in (parent, CNOT1 before CNOT2)
     order and the first occurrence of each unvisited key is kept, which is
-    the element a one-at-a-time insertion-order loop would have added.
+    the element a one-at-a-time insertion-order loop would have added.  Its
+    position in that order is its birth, recorded in ``births``: the parent
+    is birth // 2 in the layer before and the letter birth % 2.
     G*P = G*Q only when P = Q, so within a layer a key repeats only as
     CNOT1*P_i = CNOT2*P_j, at positions 2i and 2j + 1: the CNOT1 children
     claim their keys in ``owner`` first, and a CNOT2 child takes a claim
@@ -213,91 +257,84 @@ def _closure_bfs(
     """
     if max_elements < 1:
         raise ValueError("max_elements must be >= 1")
-    code = _code_dtype(d)
-    tables = np.stack(
-        [_linear_images(d, *GATE_MATRICES[letter]).ravel() for letter in GENERATORS]
-    ).astype(code)
     bezout = _bezout_table(d)
+    step1, step2 = _step_tables(d, bezout)
+    ident = np.array([_keys(d, bezout, 1 % d * d, 1 % d)], dtype=np.int32)
+    target_key = None
+    if target is not None and target.determinant() == 1 % d:
+        target_key = int(_keys(d, bezout, target.a * d + target.c, target.b * d + target.e))
+    del bezout  # before owner exists, as _key_state_bytes counts
     # per key: _UNSEEN, _VISITED, or within a layer the index i >= 0 of the
     # frontier element whose CNOT1 child claims it
     owner = np.full(d**3, _UNSEEN, dtype=np.int32)
-    ident = np.array([[1 % d * d], [1 % d]], dtype=code)
-    owner[_keys(d, bezout, *ident)] = _VISITED
+    owner[ident] = _VISITED
     layers = [ident]
-    parents = [np.array([-1], dtype=np.int32)]
-    letters = [np.array([-1], dtype=np.int8)]
+    births = [np.array([-1], dtype=np.int32)]
     counts = [1]
     size = 1
-
-    target_key = None
-    if target is not None and target.determinant() == 1 % d:
-        first = target.a * d + target.c
-        target_key = int(_keys(d, bezout, first, target.b * d + target.e))
-        if owner[target_key] == _VISITED:
-            return _Closure("found", size, layers, parents, letters, counts, found_index=0)
+    if target_key is not None and owner[target_key] == _VISITED:
+        return _Closure("found", size, layers, births, counts)
 
     frontier = ident
-    start = 0  # index of the frontier's first element
     depth = 0
-    while n := frontier.shape[1]:
+    while n := len(frontier):
         if max_depth is not None and depth >= max_depth:
             return _Closure(
-                "depth_cap", size, layers, parents, letters, counts,
+                "depth_cap", size, layers, births, counts,
                 stopped_depth=depth, stopped_frontier=n,
             )
-        # children[col, 2*i + g] is column col of generator g times parent i
-        children = tables[:, frontier].transpose(1, 2, 0).reshape(2, 2 * n)
-        keys = _keys(d, bezout, *children)
-        keep1 = owner[keys[0::2]] == _UNSEEN
+        first = frontier // d
+        t = first * d
+        np.subtract(frontier, t, out=t)
+        keys1 = _step(d, step1, first, t)
+        keys2 = _step(d, step2, first, t)
+        keep1 = owner.take(keys1) == _UNSEEN
         claimed = np.flatnonzero(keep1)
-        owner[keys[0::2][claimed]] = claimed
-        held = owner[keys[1::2]]
+        np.put(owner, keys1[claimed], claimed)
+        held = owner.take(keys2)
         keep2 = held == _UNSEEN
         later = np.flatnonzero(held > np.arange(n))
         keep2[later] = True
         keep1[held[later]] = False
-        new = np.flatnonzero(np.stack([keep1, keep2], axis=1))  # child positions, in order
+        new = np.flatnonzero(np.stack([keep1, keep2], axis=1))  # births, in order
+        keys = np.stack([keys1, keys2], axis=1).ravel()[new]
 
         # the cap fires when one more element would exceed it; a target
         # met before that point is still found
         room = max(max_elements - size, 0)
         found = False
         if target_key is not None:
-            hits = np.flatnonzero(keys[new] == target_key)
+            hits = np.flatnonzero(keys == target_key)
             found = len(hits) > 0 and hits[0] < room
         if found:
-            new = new[: hits[0] + 1]
+            new, keys = new[: hits[0] + 1], keys[: hits[0] + 1]
         elif len(new) > room:
             return _Closure(
-                "element_cap", size + room, layers, parents, letters, counts,
+                "element_cap", size + room, layers, births, counts,
                 stopped_depth=depth, stopped_frontier=n,
             )
 
-        frontier = children[:, new]
-        owner[keys[new]] = _VISITED
-        layers.append(frontier)
-        parents.append((start + new // 2).astype(np.int32))
-        letters.append((new % 2).astype(np.int8))
-        start = size
+        frontier = keys
+        np.put(owner, keys, _VISITED)
+        layers.append(keys)
+        births.append(new.astype(np.int32))
         size += len(new)
         if found:
-            return _Closure(
-                "found", size, layers, parents, letters, counts, found_index=size - 1
-            )
+            return _Closure("found", size, layers, births, counts)
         if len(new):
             counts.append(len(new))
         depth += 1
-    return _Closure("complete", size, layers, parents, letters, counts)
+    return _Closure("complete", size, layers, births, counts)
 
 
 def _word_from_records(closure: _Closure, d: int) -> GateWord:
-    parents = np.concatenate(closure.parents)
-    letters = np.concatenate(closure.letters)
+    """Walk the births back from the found element, which a search that
+    finds its target records last."""
     out: list[GateKind] = []
-    idx = closure.found_index
-    while idx > 0:
-        out.append(GENERATORS[letters[idx]])
-        idx = parents[idx]
+    position = len(closure.births[-1]) - 1
+    for births in reversed(closure.births[1:]):
+        position, letter = divmod(int(births[position]), 2)
+        out.append(GENERATORS[letter])
     return GateWord(d=d, letters=tuple(reversed(out)))
 
 
@@ -360,12 +397,12 @@ def group_elements(
         raise CostGuardError(
             f"group at d = {d} exceeds the {max_elements}-element cap"
         )
-    first, second = np.concatenate(closure.layers, axis=1)
+    keys = np.concatenate(closure.layers)
+    bezout = _bezout_table(d)
     out = []
-    for start in range(0, len(first), _TABLE_SLICE):
-        a, c = np.divmod(first[start : start + _TABLE_SLICE, None], d)
-        b, e = np.divmod(second[start : start + _TABLE_SLICE, None], d)
-        out.extend(Perm(table.ravel()) for table in _linear_images(d, a, b, c, e))
+    for start in range(0, len(keys), _TABLE_SLICE):
+        matrices = _decode(d, bezout, keys[start : start + _TABLE_SLICE, None])
+        out.extend(Perm(table.ravel()) for table in _linear_images(d, *matrices))
     return out
 
 

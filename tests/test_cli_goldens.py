@@ -257,11 +257,11 @@ counts by depth: 1 2 2 1
      'error: search guard: d = 32 exceeds 31; raise max_dimension explicitly to override\n'),
     (['synth', '--d', '255', '--max-dimension', '255'], 65,
      '',
-     'error: search guard: the visited keys at d = 255 need 67886100 bytes, '
+     'error: search guard: the visited keys at d = 255 need 67365900 bytes, '
      'over the budget of 67108864\n'),
     (['group', '--d', '255', '--max-dimension', '255'], 65,
      '',
-     'error: search guard: the visited keys at d = 255 need 67886100 bytes, '
+     'error: search guard: the visited keys at d = 255 need 67365900 bytes, '
      'over the budget of 67108864\n'),
 ]
 

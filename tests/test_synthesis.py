@@ -1,29 +1,35 @@
 import itertools
 import random
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from math import gcd
 
 import numpy as np
 import pytest
 
 from cnotswap.gates import (
-    GateKind, LinearMap2, as_linear_map, cnot1_perm, cnot2_perm, swap_perm, _linear_images,
+    GATE_MATRICES, GENERATORS, GateKind, LinearMap2, as_linear_map, cnot1_perm, cnot2_perm,
+    swap_perm, _linear_images,
 )
 from cnotswap.perm import CostGuardError, Perm
 from cnotswap.synthesis import (
     DEFAULT_MAX_DIMENSION,
     DEFAULT_MAX_ELEMENTS,
-    _Closure,
+    KEY_STATE_BUDGET,
     _bezout_table,
     _closure_bfs,
+    _decode,
+    _key_state_bytes,
     _keys,
+    _step,
+    _step_tables,
     GateWord,
     GroupCensus,
     GroupTooLarge,
     SearchOutcome,
     SynthesisResult,
     apply_word,
+    check_search_guards,
     enumerate_group,
     find_word,
     group_elements,
@@ -491,7 +497,23 @@ def test_capped_searches_are_true_whenever_conclusive():
                     assert true_dist.get(target, cap + 1) > cap
 
 
-# -- the column-code kernel against the d**4-key reference --
+# -- the d**3-key kernel against the d**4-key reference --
+
+
+@dataclass
+class RefClosure:
+    """Records of the reference kernel: every element's row (a, b, c, e), its
+    parent's index in breadth-first order and its letter."""
+
+    status: str
+    size: int
+    layers: list
+    parents: list
+    letters: list
+    counts_by_depth: list
+    found_index: int = -1
+    stopped_depth: int = 0
+    stopped_frontier: int = 0
 
 
 def d4_key_closure(d, *, max_elements, max_depth=None, target=None):
@@ -512,14 +534,14 @@ def d4_key_closure(d, *, max_elements, max_depth=None, target=None):
     if target is not None:
         target_key = ((target.a * d + target.b) * d + target.c) * d + target.e
         if visited[target_key]:
-            return _Closure("found", size, layers, parents, letters, counts, found_index=0)
+            return RefClosure("found", size, layers, parents, letters, counts, found_index=0)
 
     frontier = ident
     start = 0
     depth = 0
     while len(frontier):
         if max_depth is not None and depth >= max_depth:
-            return _Closure(
+            return RefClosure(
                 "depth_cap", size, layers, parents, letters, counts,
                 stopped_depth=depth, stopped_frontier=len(frontier),
             )
@@ -541,7 +563,7 @@ def d4_key_closure(d, *, max_elements, max_depth=None, target=None):
         if found:
             new = new[: hits[0] + 1]
         elif len(new) > room:
-            return _Closure(
+            return RefClosure(
                 "element_cap", size + room, layers, parents, letters, counts,
                 stopped_depth=depth, stopped_frontier=len(frontier),
             )
@@ -554,26 +576,33 @@ def d4_key_closure(d, *, max_elements, max_depth=None, target=None):
         start = size
         size += len(new)
         if found:
-            return _Closure(
+            return RefClosure(
                 "found", size, layers, parents, letters, counts, found_index=size - 1
             )
         if len(new):
             counts.append(len(new))
         depth += 1
-    return _Closure("complete", size, layers, parents, letters, counts)
+    return RefClosure("complete", size, layers, parents, letters, counts)
 
 
 def assert_same_closure(got, ref, d):
-    """Same stop, counts and records: equal parents and letters of every
-    element recorded give equal least words."""
-    fields = ("status", "size", "counts_by_depth", "found_index", "stopped_depth",
-              "stopped_frontier")
+    """Same stop, counts and records: every element's matrix, decoded from its
+    key, and its parent and letter, decoded from its birth, equal the
+    reference's, so both give equal least words."""
+    fields = ("status", "size", "counts_by_depth", "stopped_depth", "stopped_frontier")
     assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
-    first, second = np.concatenate(got.layers, axis=1).astype(np.int64)
-    (a, c), (b, e) = np.divmod(first, d), np.divmod(second, d)
-    assert np.array_equal(np.stack([a, b, c, e], axis=1), np.concatenate(ref.layers))
-    assert np.array_equal(np.concatenate(got.parents), np.concatenate(ref.parents))
-    assert np.array_equal(np.concatenate(got.letters), np.concatenate(ref.letters))
+    # the word is read back from the last element recorded
+    assert ref.found_index == (ref.size - 1 if ref.status == "found" else -1)
+    matrices = _decode(d, _bezout_table(d), np.concatenate(got.layers))
+    assert np.array_equal(np.stack(matrices, axis=1), np.concatenate(ref.layers))
+    # a birth is a position in its layer's (parent, CNOT1 before CNOT2) order
+    starts = np.cumsum([0] + [len(layer) for layer in got.layers])
+    parents = [np.array([-1])] + [
+        start + births // 2 for start, births in zip(starts, got.births[1:])
+    ]
+    letters = [np.array([-1])] + [births % 2 for births in got.births[1:]]
+    assert np.array_equal(np.concatenate(parents), np.concatenate(ref.parents))
+    assert np.array_equal(np.concatenate(letters), np.concatenate(ref.letters))
 
 
 def linear_perm(lm):
@@ -607,16 +636,59 @@ def test_kernel_matches_the_d4_key_reference(d):
             )
 
 
-@pytest.mark.parametrize("d", range(1, 13))
-def test_key_is_injective_on_the_group(d):
-    # every matrix of determinant 1, enumerated without the search
+def det_one_matrices(d):
+    """Every matrix (a, b, c, e) of determinant 1 over Z_d, without the search."""
     a, b, c, e = np.indices((d,) * 4).reshape(4, -1)
     det_one = (a * e - b * c) % d == 1 % d
-    a, b, c, e = a[det_one], b[det_one], c[det_one], e[det_one]
+    return a[det_one], b[det_one], c[det_one], e[det_one]
+
+
+def random_det_one_matrices(d, count, seed):
+    """Products of six random elementary matrices [[1, k], [0, 1]] and
+    [[1, 0], [k, 1]] over Z_d, which generate SL(2, Z_d)."""
+    rng = np.random.default_rng(seed)
+    a, b, c, e = (np.full(count, 1 % d, dtype=np.int64), np.zeros(count, dtype=np.int64),
+                  np.zeros(count, dtype=np.int64), np.full(count, 1 % d, dtype=np.int64))
+    for _ in range(3):
+        k = rng.integers(0, d, count)
+        a, b = (a + k * c) % d, (b + k * e) % d
+        k = rng.integers(0, d, count)
+        c, e = (c + k * a) % d, (e + k * b) % d
+    return a, b, c, e
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_key_is_injective_on_the_group(d):
+    a, b, c, e = det_one_matrices(d)
     keys = _keys(d, _bezout_table(d), a * d + c, b * d + e)
     assert len(keys) == sl2_order(d)
     assert len(np.unique(keys)) == len(keys)
     assert 0 <= keys.min() and keys.max() < d**3
+
+
+@pytest.mark.parametrize(
+    "d,matrices",
+    [(d, det_one_matrices) for d in range(1, 17)]
+    + [(d, lambda d: random_det_one_matrices(d, 2000, seed=d)) for d in (97, 182, 254)],
+    ids=[f"all-{d}" for d in range(1, 17)] + [f"random-{d}" for d in (97, 182, 254)],
+)
+def test_table_step_and_decoding_follow_the_matrices(d, matrices):
+    # the search never sees a matrix: it steps keys through the tables and
+    # decodes them only for group_elements, so both must agree with the
+    # matrix products, element by element
+    a, b, c, e = matrices(d)
+    assert np.all((a * e - b * c) % d == 1 % d)
+    bezout = _bezout_table(d)
+    keys = _keys(d, bezout, a * d + c, b * d + e)
+    for got, want in zip(_decode(d, bezout, keys), (a, b, c, e)):
+        assert np.array_equal(got, want)
+    first, t = (part.astype(np.int32) for part in np.divmod(keys, d))
+    for letter, table in zip(GENERATORS, _step_tables(d, bezout)):
+        p, q, r, s = GATE_MATRICES[letter]
+        ga, gb = (p * a + q * c) % d, (p * b + q * e) % d
+        gc, ge = (r * a + s * c) % d, (r * b + s * e) % d
+        expected = _keys(d, bezout, ga * d + gc, gb * d + ge)
+        assert np.array_equal(_step(d, table, first, t), expected), letter
 
 
 @pytest.mark.parametrize("d", range(1, 65))
@@ -644,10 +716,9 @@ def test_targets_of_another_determinant_exhaust_the_group(d):
         assert result.group_order == sl2_order(d)
 
 
-def test_search_with_column_codes_beyond_int16():
-    # at d = 182 column codes reach 33123 and are held in int32.  No word
-    # shorter than 12 letters has an entry near d - 1, so the target and
-    # the layer before it need that length.
+def test_search_finds_a_deep_word_at_d182():
+    # a 12-letter word whose shortest equivalent the search must reach
+    # through eleven full layers of the d = 182 closure
     d = 182
     letters = (C1, C1, C1, C2, C1, C2, C1, C2, C1, C1, C2, C2)
     gens = {C1: (1, 0, 1, 1), C2: (1, 1, 0, 1)}
@@ -661,16 +732,39 @@ def test_search_with_column_codes_beyond_int16():
         return LinearMap2(d, a, b, c, e)
 
     target = matrix_of(letters)
-    assert target.a * d + target.c >= 2**15
     result = find_word(d, linear_perm(target), max_depth=len(letters), max_dimension=d)
     assert result.outcome is SearchOutcome.FOUND
     assert len(result.word) <= len(letters)
     assert matrix_of(result.word.letters) == target
+    shorter = find_word(d, linear_perm(target), max_depth=len(result.word) - 1, max_dimension=d)
+    assert shorter.outcome is SearchOutcome.DEPTH_LIMIT
+
+
+def test_search_guard_admits_254_and_refuses_255_without_allocating():
+    # the owner array and the four step tables, not the Bézout pair freed
+    # before them, make the state the guard counts
+    tables = _step_tables(64, _bezout_table(64))
+    assert _key_state_bytes(64) == 4 * 64**3 + sum(t.nbytes for pair in tables for t in pair)
+    assert _key_state_bytes(254) <= KEY_STATE_BUDGET < _key_state_bytes(255)
+    identity = Perm.identity(255 * 255)
+    tracemalloc.start()
+    try:
+        check_search_guards(254, 254)
+        for search in (enumerate_group, group_elements):
+            with pytest.raises(CostGuardError, match="d = 255 need 67365900 bytes"):
+                search(255, max_dimension=255)
+        with pytest.raises(CostGuardError, match="d = 255 need"):
+            find_word(255, identity, max_dimension=255)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_full_closure_at_d64_stays_small():
-    # 196608 elements of 9 bytes and a 1 MB key state; the d**4 bitmap
-    # kernel peaked at 33.6 MiB
+    # 196608 elements of 8 bytes (an int32 key and an int32 birth) and a
+    # 1.1 MB key state peak at 4.4 MiB; the column-code kernel peaked at
+    # 5.8 MiB and the d**4 bitmap kernel at 33.6 MiB
     tracemalloc.start()
     try:
         census = enumerate_group(64, max_dimension=64)
@@ -678,4 +772,4 @@ def test_full_closure_at_d64_stays_small():
     finally:
         tracemalloc.stop()
     assert census.order == sl2_order(64)
-    assert peak < 12 * 2**20
+    assert peak < 5.5 * 2**20
