@@ -22,7 +22,7 @@ from cnotswap.cli import _positive_int
 from cnotswap.feasibility import Verdict, decide
 from cnotswap.gates import swap_perm
 from cnotswap.perm import CostGuardError
-from cnotswap.synthesis import SearchOutcome, enumerate_group, find_word
+from cnotswap.synthesis import DEFAULT_MAX_DIMENSION, SearchOutcome, enumerate_group, find_word
 
 
 def sweep_row(args: argparse.Namespace, d: int) -> dict:
@@ -40,12 +40,16 @@ def sweep_row(args: argparse.Namespace, d: int) -> dict:
     }
     if args.skip_search or d > args.max_dimension:
         return row
-    census = enumerate_group(d, max_elements=args.max_elements,
-                             max_dimension=args.max_dimension)
-    row["group_order"] = getattr(census, "order", None)
     result = find_word(d, swap_perm(d), max_elements=args.max_elements,
                        max_dimension=args.max_dimension)
     row["search"] = result.outcome.value
+    # an exhausted search has enumerated the whole group already
+    if result.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED:
+        row["group_order"] = result.group_order
+    else:
+        census = enumerate_group(d, max_elements=args.max_elements,
+                                 max_dimension=args.max_dimension)
+        row["group_order"] = getattr(census, "order", None)
     if result.outcome is SearchOutcome.FOUND:
         row["word"] = [letter.name for letter in result.word.letters]
     return row
@@ -71,7 +75,7 @@ def main() -> int:
     parser.add_argument("--d-min", type=_positive_int, default=1)
     parser.add_argument("--d-max", type=_positive_int, default=12)
     parser.add_argument("--max-elements", type=_positive_int, default=2_000_000)
-    parser.add_argument("--max-dimension", type=_positive_int, default=31)
+    parser.add_argument("--max-dimension", type=_positive_int, default=DEFAULT_MAX_DIMENSION)
     parser.add_argument("--skip-search", action="store_true",
                         help="report parity only, no group enumeration")
     parser.add_argument("--json-out", type=Path, default=None)

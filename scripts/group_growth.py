@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cnotswap.cli import _positive_int
 from cnotswap.perm import CostGuardError
-from cnotswap.synthesis import GroupTooLarge, enumerate_group, sl2_order
+from cnotswap.synthesis import DEFAULT_MAX_DIMENSION, GroupTooLarge, enumerate_group, sl2_order
 
 
 def main() -> int:
@@ -36,7 +36,7 @@ def main() -> int:
         expected = sl2_order(d)
         try:
             census = enumerate_group(d, max_elements=args.max_elements,
-                                     max_dimension=max(args.d_max, 31))
+                                     max_dimension=max(args.d_max, DEFAULT_MAX_DIMENSION))
         except CostGuardError as exc:
             guarded.append(d)
             print(f"{d:>3} {'guard':>9} {expected:>9} {'-':>5} {'-':>8}  {exc}")

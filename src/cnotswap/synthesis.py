@@ -2,14 +2,15 @@
 
 Both CNOTs act on digit pairs as the elementary matrices [[1,0],[1,1]] and
 [[1,1],[0,1]] over Z_d, so every group element is a 2x2 matrix of
-determinant 1.  The search holds each one as its faithful key in
-0 .. d**3 - 1 (an int32), steps keys to their children through two
-d*d-entry tables per generator, and records each element's birth, its
-position among its layer's children, from which its parent and letter
-follow.  Image tables are built only for callers that ask for
-permutations: ``group_elements`` from each element's matrix, decoded from
-its key, and ``apply_word`` from the product of its letters' matrices, both
-by ``gates._linear_images``.
+determinant 1.  The search holds the current frontier as faithful keys in
+0 .. d**3 - 1 (int32), steps keys to their children through two d*d-entry
+tables per generator, and records only each element's birth, its position
+among its layer's children, from which its parent and letter follow.  Every
+answer is read off the births: a census from their layer lengths, a word by
+walking them back, and ``group_elements`` by replaying them as matrix
+products.  Image tables are built only for callers that ask for
+permutations, ``group_elements`` and ``apply_word``, both from matrices by
+``gates._linear_images``.
 
 The Cayley graph is explored breadth-first: appending a generator to the
 end of a circuit-time word is one edge, so the depth of an element's first
@@ -103,24 +104,29 @@ def apply_word(word: GateWord) -> Perm:
     matrix is the product of the letters' matrices in that order, mod d.
     """
     d = word.d
-    a, b, c, e = 1 % d, 0, 0, 1 % d
+    matrix = (1 % d, 0, 0, 1 % d)
     for letter in word.letters:
-        p, q, r, s = GATE_MATRICES[letter]
-        a, b, c, e = (
-            (p * a + q * c) % d, (p * b + q * e) % d, (r * a + s * c) % d, (r * b + s * e) % d
-        )
-    return Perm(_linear_images(d, a, b, c, e).ravel())
+        matrix = _product(d, GATE_MATRICES[letter], matrix)
+    return Perm(_linear_images(d, *matrix).ravel())
+
+
+def _product(d: int, g, m):
+    """The product g*m mod d of two matrices (a, b, c, e), entrywise over
+    ints or over numpy arrays of many matrices at once."""
+    p, q, r, s = g
+    a, b, c, e = m
+    return (p * a + q * c) % d, (p * b + q * e) % d, (r * a + s * c) % d, (r * b + s * e) % d
 
 
 @dataclass
 class _Closure:
-    status: str  # "complete" | "found" | "depth_cap" | "element_cap"
-    size: int
-    layers: list[np.ndarray]
+    """A search's only record: births[k] holds the int32 births of the
+    elements first met at depth k (births[0] = [-1], the identity).  A
+    complete closure ends with one empty layer, a found one with the target
+    last, and a capped one with the frontier it stopped at."""
+
+    status: str  # "complete" | "found" | "capped"
     births: list[np.ndarray]
-    counts_by_depth: list[int]
-    stopped_depth: int = 0
-    stopped_frontier: int = 0
 
 
 def _key_state_bytes(d: int) -> int:
@@ -174,32 +180,19 @@ def _keys(d: int, bezout: tuple[np.ndarray, np.ndarray], first, second):
     return key
 
 
-def _base_columns(d: int, bezout: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Code of s0(f) = (-y, x) at every column code f: the second column of
-    the det-1 matrix with first column f and key offset t = 0."""
-    x, y = bezout
-    return -y % d * d + x
-
-
-def _decode(d: int, bezout: tuple[np.ndarray, np.ndarray], keys):
-    """(a, b, c, e) of the det-1 matrices with the given keys f*d + t: first
-    column f = (a, c), second column s0(f) + t*(a, c)."""
-    first, t = np.divmod(keys, d)
-    a, c = np.divmod(first, d)
-    b0, e0 = np.divmod(_base_columns(d, bezout)[first], d)
-    return a, (b0 + t * a) % d, c, (e0 + t * c) % d
-
-
 def _step_tables(d: int, bezout: tuple[np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, ...]]:
     """Per generator G, the int32 tables (d*T_G, off_G) over column codes f.
 
-    The matrix with key f*d + t has columns f and s0(f) + t*f, so G times it
+    With (x, y) the Bézout pair of f, s0(f) = (-y, x) is the second column
+    of the det-1 matrix with first column f and key offset t = 0.  The
+    matrix with key f*d + t has columns f and s0(f) + t*f, so G times it
     has columns G*f and G*s0(f) + t*G*f.  T_G[f] is the code of G*f, and
     off_G[f] the offset that (x, y) of G*f reads off G*s0(f).  Since
     x*(G*f)_1 + y*(G*f)_2 = 1, it reads t off t*G*f, so the child's key is
     d*T_G[f] + (t + off_G[f] mod d).
     """
-    base = _base_columns(d, bezout)
+    x, y = bezout
+    base = -y % d * d + x  # the code of s0(f)
     tables = []
     for letter in GENERATORS:
         images = _linear_images(d, *GATE_MATRICES[letter]).ravel()
@@ -239,6 +232,8 @@ def _closure_bfs(
     column f = a*d + c and the offset t of its second column from s0(f).
     The key is faithful on SL(2, Z_d), so it is the element, and
     ``_step_tables`` gives each generator's child key straight from it.
+    Only the frontier's keys are held; what the search keeps is the births
+    (see ``_Closure``), 4 bytes per element.
 
     Membership is exact, not a lossy hash, because certificates of
     unreachability rely on it: one int32 ``owner`` entry per key in
@@ -248,12 +243,15 @@ def _closure_bfs(
     Per layer the children are interleaved in (parent, CNOT1 before CNOT2)
     order and the first occurrence of each unvisited key is kept, which is
     the element a one-at-a-time insertion-order loop would have added.  Its
-    position in that order is its birth, recorded in ``births``: the parent
-    is birth // 2 in the layer before and the letter birth % 2.
+    position in that order is its birth: the parent is birth // 2 in the
+    layer before and the letter birth % 2.
     G*P = G*Q only when P = Q, so within a layer a key repeats only as
     CNOT1*P_i = CNOT2*P_j, at positions 2i and 2j + 1: the CNOT1 children
     claim their keys in ``owner`` first, and a CNOT2 child takes a claim
     over only from a later parent, i > j.  No sort is needed.
+
+    A depth cap stops before layer ``max_depth`` is expanded; an element cap
+    stops when the next layer would take the elements over it.
     """
     if max_elements < 1:
         raise ValueError("max_elements must be >= 1")
@@ -268,21 +266,15 @@ def _closure_bfs(
     # frontier element whose CNOT1 child claims it
     owner = np.full(d**3, _UNSEEN, dtype=np.int32)
     owner[ident] = _VISITED
-    layers = [ident]
     births = [np.array([-1], dtype=np.int32)]
-    counts = [1]
-    size = 1
     if target_key is not None and owner[target_key] == _VISITED:
-        return _Closure("found", size, layers, births, counts)
+        return _Closure("found", births)
 
     frontier = ident
-    depth = 0
+    room = max_elements - 1  # elements the cap still admits
     while n := len(frontier):
-        if max_depth is not None and depth >= max_depth:
-            return _Closure(
-                "depth_cap", size, layers, births, counts,
-                stopped_depth=depth, stopped_frontier=n,
-            )
+        if max_depth is not None and len(births) > max_depth:
+            return _Closure("capped", births)
         first = frontier // d
         t = first * d
         np.subtract(frontier, t, out=t)
@@ -301,7 +293,6 @@ def _closure_bfs(
 
         # the cap fires when one more element would exceed it; a target
         # met before that point is still found
-        room = max(max_elements - size, 0)
         found = False
         if target_key is not None:
             hits = np.flatnonzero(keys == target_key)
@@ -309,22 +300,15 @@ def _closure_bfs(
         if found:
             new, keys = new[: hits[0] + 1], keys[: hits[0] + 1]
         elif len(new) > room:
-            return _Closure(
-                "element_cap", size + room, layers, births, counts,
-                stopped_depth=depth, stopped_frontier=n,
-            )
+            return _Closure("capped", births)
 
         frontier = keys
         np.put(owner, keys, _VISITED)
-        layers.append(keys)
         births.append(new.astype(np.int32))
-        size += len(new)
+        room -= len(new)
         if found:
-            return _Closure("found", size, layers, births, counts)
-        if len(new):
-            counts.append(len(new))
-        depth += 1
-    return _Closure("complete", size, layers, births, counts)
+            return _Closure("found", births)
+    return _Closure("complete", births)
 
 
 def _word_from_records(closure: _Closure, d: int) -> GateWord:
@@ -374,14 +358,11 @@ def enumerate_group(
     """Enumerate the whole generated group; order, diameter, layer counts."""
     check_search_guards(d, max_dimension)
     closure = _closure_bfs(d, max_elements=max_elements)
-    if closure.status == "element_cap":
-        return GroupTooLarge(d=d, max_elements=max_elements, elements_found=closure.size)
-    return GroupCensus(
-        d=d,
-        order=closure.size,
-        diameter=len(closure.counts_by_depth) - 1,
-        counts_by_depth=tuple(closure.counts_by_depth),
-    )
+    if closure.status == "capped":
+        # the cap fired with exactly max_elements elements admitted
+        return GroupTooLarge(d=d, max_elements=max_elements, elements_found=max_elements)
+    counts = tuple(len(births) for births in closure.births[:-1])
+    return GroupCensus(d=d, order=sum(counts), diameter=len(counts) - 1, counts_by_depth=counts)
 
 
 def group_elements(
@@ -397,13 +378,24 @@ def group_elements(
         raise CostGuardError(
             f"group at d = {d} exceeds the {max_elements}-element cap"
         )
-    keys = np.concatenate(closure.layers)
-    bezout = _bezout_table(d)
+    matrices = _replay(d, closure.births)
     out = []
-    for start in range(0, len(keys), _TABLE_SLICE):
-        matrices = _decode(d, bezout, keys[start : start + _TABLE_SLICE, None])
-        out.extend(Perm(table.ravel()) for table in _linear_images(d, *matrices))
+    for start in range(0, matrices.shape[1], _TABLE_SLICE):
+        tables = _linear_images(d, *matrices[:, start : start + _TABLE_SLICE, None])
+        out.extend(Perm(table.ravel()) for table in tables)
     return out
+
+
+def _replay(d: int, births: list[np.ndarray]) -> np.ndarray:
+    """The entries (a, b, c, e), as a (4, n) array, of the n elements the
+    births record, in breadth-first order: each element is its letter's
+    matrix times its parent's."""
+    generators = np.array([GATE_MATRICES[kind] for kind in GENERATORS]).T
+    layers = [np.array([[1 % d], [0], [0], [1 % d]])]
+    for layer in births[1:]:
+        parent, letter = np.divmod(layer, 2)
+        layers.append(np.stack(_product(d, generators[:, letter], layers[-1][:, parent])))
+    return np.concatenate(layers, axis=1)
 
 
 def find_word(
@@ -435,14 +427,15 @@ def find_word(
     )
     if closure.status == "found":
         return SynthesisResult(outcome=SearchOutcome.FOUND, word=_word_from_records(closure, d))
+    births = closure.births
     if closure.status == "complete":
         return SynthesisResult(
             outcome=SearchOutcome.UNREACHABLE_EXHAUSTED,
-            group_order=closure.size,
-            diameter=len(closure.counts_by_depth) - 1,
+            group_order=sum(map(len, births)),
+            diameter=len(births) - 2,
         )
     return SynthesisResult(
         outcome=SearchOutcome.DEPTH_LIMIT,
-        explored_depth=closure.stopped_depth,
-        frontier_size=closure.stopped_frontier,
+        explored_depth=len(births) - 1,
+        frontier_size=len(births[-1]),
     )

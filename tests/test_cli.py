@@ -453,6 +453,28 @@ def test_golden_bytes_of_large_matrix_output(run_cli, argv, code_expected, sha25
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# sha256 of stdout and the exit code of every search report field, recorded
+# while the closure still kept its own counts, size and stop point: a census,
+# an exhausted group's order and diameter, a depth cap, an element cap that
+# fires inside layer 18, and the elements found before a census cap
+@pytest.mark.parametrize("argv,code_expected,sha256", [
+    (["group", "--d", "160", "--max-dimension", "160", "--json"], 0,
+     "83fc0509ca7e00af413ffefe1ec775bc36362ca058cdc5351f842657bbfbe6fc"),
+    (["synth", "--d", "128", "--max-dimension", "128", "--json"], 1,
+     "79c2fdcbf2532c776f66fb1aa62227e11d007f624506aff5521a8782108edd01"),
+    (["synth", "--d", "97", "--max-dimension", "97", "--max-depth", "9", "--json"], 2,
+     "303c174bff79eef90566cda7087db93e7d89d069192287150f59ab50bb67589f"),
+    (["synth", "--d", "97", "--max-dimension", "97", "--max-elements", "500000", "--json"], 2,
+     "d41889d094be5fd61cf51cd417cb43853c26ca8110ff151170aa10d3add4c8c8"),
+    (["group", "--d", "97", "--max-dimension", "97", "--max-elements", "500000", "--json"], 3,
+     "6d7bb6542862082460d013ac673b5ac81372b3013243cb9d037bf75630a566ba"),
+])
+def test_golden_bytes_of_search_reports(run_cli, argv, code_expected, sha256):
+    code, out, _ = run_cli(*argv)
+    assert code == code_expected
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 class CharCount(io.TextIOBase):
     """A stdout that keeps only the number of characters written to it."""
 

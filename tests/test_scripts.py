@@ -1,10 +1,14 @@
 """Smoke tests: the experiment scripts run end to end on small dimensions."""
 
+import argparse
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from cnotswap.synthesis import sl2_order
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -20,6 +24,22 @@ def test_script_runs_to_its_summary(script, summary):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().splitlines()[-1] == summary
+
+
+def test_dimension_sweep_takes_the_order_of_an_exhausted_search(monkeypatch):
+    # the word search for SWAP exhausts the group at every d >= 3 and carries
+    # its order, so only d = 1 and 2, where SWAP is found, still take a census
+    spec = importlib.util.spec_from_file_location("dimension_sweep", SCRIPTS / "dimension_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    censused = []
+    census = sweep.enumerate_group
+    monkeypatch.setattr(sweep, "enumerate_group",
+                        lambda d, **kwargs: censused.append(d) or census(d, **kwargs))
+    args = argparse.Namespace(skip_search=False, max_elements=2_000_000, max_dimension=31)
+    rows = [sweep.sweep_row(args, d) for d in range(1, 9)]
+    assert censused == [1, 2]
+    assert [row["group_order"] for row in rows] == [sl2_order(d) for d in range(1, 9)]
 
 
 def test_group_growth_reports_dimensions_over_the_element_cap():

@@ -18,9 +18,9 @@ from cnotswap.synthesis import (
     KEY_STATE_BUDGET,
     _bezout_table,
     _closure_bfs,
-    _decode,
     _key_state_bytes,
     _keys,
+    _replay,
     _step,
     _step_tables,
     GateWord,
@@ -586,17 +586,30 @@ def d4_key_closure(d, *, max_elements, max_depth=None, target=None):
 
 
 def assert_same_closure(got, ref, d):
-    """Same stop, counts and records: every element's matrix, decoded from its
-    key, and its parent and letter, decoded from its birth, equal the
-    reference's, so both give equal least words."""
-    fields = ("status", "size", "counts_by_depth", "stopped_depth", "stopped_frontier")
-    assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
-    # the word is read back from the last element recorded
-    assert ref.found_index == (ref.size - 1 if ref.status == "found" else -1)
-    matrices = _decode(d, _bezout_table(d), np.concatenate(got.layers))
-    assert np.array_equal(np.stack(matrices, axis=1), np.concatenate(ref.layers))
+    """Same stop, counts and records, read off the births as the callers read
+    them: every element's matrix, replayed from the births, and its parent and
+    letter, decoded from its birth, equal the reference's, so both give equal
+    least words."""
+    lengths = [len(births) for births in got.births]
+    assert lengths == [len(layer) for layer in ref.layers]
+    if ref.status == "complete":
+        # ends with one empty layer; the counts are the others
+        assert got.status == "complete" and lengths[-1] == 0
+        assert (lengths[:-1], sum(lengths)) == (ref.counts_by_depth, ref.size)
+    elif ref.status == "found":
+        # the word is read back from the last element recorded
+        assert got.status == "found" and ref.found_index == ref.size - 1 == sum(lengths) - 1
+    else:
+        # both caps stop at the frontier held last, every layer before it counted
+        assert got.status == "capped" and lengths == ref.counts_by_depth
+        assert (len(lengths) - 1, lengths[-1]) == (ref.stopped_depth, ref.stopped_frontier)
+        # an element cap reports the cap itself, ref.size, as the elements
+        # found; the ones recorded fit under it
+        if ref.status == "element_cap":
+            assert sum(lengths) <= ref.size
+    assert np.array_equal(_replay(d, got.births).T, np.concatenate(ref.layers))
     # a birth is a position in its layer's (parent, CNOT1 before CNOT2) order
-    starts = np.cumsum([0] + [len(layer) for layer in got.layers])
+    starts = np.cumsum([0] + lengths)
     parents = [np.array([-1])] + [
         start + births // 2 for start, births in zip(starts, got.births[1:])
     ]
@@ -673,16 +686,16 @@ def test_key_is_injective_on_the_group(d):
     ids=[f"all-{d}" for d in range(1, 17)] + [f"random-{d}" for d in (97, 182, 254)],
 )
 def test_table_step_and_decoding_follow_the_matrices(d, matrices):
-    # the search never sees a matrix: it steps keys through the tables and
-    # decodes them only for group_elements, so both must agree with the
-    # matrix products, element by element
+    # the search never sees a matrix: it splits each key into the first
+    # column f and the offset t and steps them through the tables, so the
+    # split must give back the matrix's first column and each step must
+    # agree with the matrix product, element by element
     a, b, c, e = matrices(d)
     assert np.all((a * e - b * c) % d == 1 % d)
     bezout = _bezout_table(d)
     keys = _keys(d, bezout, a * d + c, b * d + e)
-    for got, want in zip(_decode(d, bezout, keys), (a, b, c, e)):
-        assert np.array_equal(got, want)
     first, t = (part.astype(np.int32) for part in np.divmod(keys, d))
+    assert np.array_equal(first, a * d + c)
     for letter, table in zip(GENERATORS, _step_tables(d, bezout)):
         p, q, r, s = GATE_MATRICES[letter]
         ga, gb = (p * a + q * c) % d, (p * b + q * e) % d
@@ -762,9 +775,10 @@ def test_search_guard_admits_254_and_refuses_255_without_allocating():
 
 
 def test_full_closure_at_d64_stays_small():
-    # 196608 elements of 8 bytes (an int32 key and an int32 birth) and a
-    # 1.1 MB key state peak at 4.4 MiB; the column-code kernel peaked at
-    # 5.8 MiB and the d**4 bitmap kernel at 33.6 MiB
+    # 196608 elements of 4 bytes (an int32 birth) and a 1.1 MB key state
+    # peak at 3.9 MiB; keeping every layer's int32 keys as well peaked at
+    # 4.4 MiB, the column-code kernel at 5.8 MiB and the d**4 bitmap kernel
+    # at 33.6 MiB
     tracemalloc.start()
     try:
         census = enumerate_group(64, max_dimension=64)
@@ -772,4 +786,4 @@ def test_full_closure_at_d64_stays_small():
     finally:
         tracemalloc.stop()
     assert census.order == sl2_order(64)
-    assert peak < 5.5 * 2**20
+    assert peak < 4.5 * 2**20
