@@ -13,7 +13,6 @@ from .perm import (
     CostGuardError,
     CycleType,
     Perm,
-    PermMatrix,
     exact_determinant,
 )
 from .gates import (
@@ -53,7 +52,6 @@ __all__ = [
     "CostGuardError",
     "CycleType",
     "Perm",
-    "PermMatrix",
     "exact_determinant",
     "GENERATORS",
     "GateKind",

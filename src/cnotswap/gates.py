@@ -10,6 +10,7 @@ table of its permutation; the gates live here as ``Perm`` objects.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +37,10 @@ GATE_MATRICES = {
 
 
 def _check_dimension(d: int) -> None:
+    try:
+        operator.index(d)
+    except TypeError:
+        raise ValueError(f"invalid dimension {d!r}; need an integer") from None
     if d < 1:
         raise ValueError(f"invalid dimension {d}; need d >= 1")
 

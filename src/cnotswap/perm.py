@@ -6,13 +6,12 @@ whole-array arithmetic.  Composition follows the convention
 (p * q)(i) = p(q(i)), i.e. the right factor acts first.  Everything here is
 exact integer arithmetic; the determinant routine deliberately avoids the
 parity shortcut so it can serve as an independent cross-check of
-``signature``.
+``signature`` on the matrix rows the CLI prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,17 +35,28 @@ class Perm:
     __slots__ = ("_image", "_cycle_lengths")
 
     def __init__(self, image: Iterable[int]):
-        if not isinstance(image, np.ndarray):
+        # int64 conversion truncates floats, parses strings and reads bools
+        # as 0 and 1, so the input itself must hold integers
+        if isinstance(image, np.ndarray) and image.dtype != object:
+            if image.dtype.kind not in "iu":
+                raise ValueError(f"image values must be integers, not {image.dtype}")
+        else:
             image = list(image)
         try:
             img = np.array(image, dtype=np.int64)
         except OverflowError as exc:
             raise ValueError(f"image value outside int64: {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"image values must be integers: {exc}") from None
         if img.ndim != 1:
             raise ValueError(f"image must be one-dimensional, got shape {img.shape}")
         n = len(img)
         if n == 0:
             raise ValueError("a permutation needs at least one point")
+        if isinstance(image, list):
+            for t in set(map(type, image)):
+                if t is bool or not issubclass(t, (int, np.integer)):
+                    raise ValueError(f"image values must be integers, not {t.__name__}")
         if img.min() < 0 or img.max() >= n:
             outside = (img < 0) | (img >= n)
             raise ValueError(f"image value {img[outside.argmax()]} outside 0..{n - 1}")
@@ -176,57 +186,28 @@ class Perm:
         """
         return -1 if (len(self._image) - len(self._sorted_cycle_lengths())) % 2 else 1
 
-    def to_matrix(self) -> "PermMatrix":
-        """Matrix with entries[j][i] = 1 exactly when this maps i to j, the
-        input of the ``exact_determinant`` cross-check."""
-        n = len(self._image)
-        rows = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in self.inverse()._image.tolist())
-        return PermMatrix(rows)
 
+def exact_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix, given as its rows, by
+    fraction-free (Bareiss) elimination.
 
-@dataclass(frozen=True)
-class PermMatrix:
-    """A 0/1 matrix with exactly one 1 per row and per column."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if n == 0:
-            raise ValueError("empty matrix")
-        one_columns = set()
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-            ones = row.count(1)
-            if ones + row.count(0) != n:
-                bad = next(v for v in row if v not in (0, 1))
-                raise ValueError(f"entry {bad} is not 0 or 1")
-            if ones != 1:
-                raise ValueError("row does not contain exactly one 1")
-            one_columns.add(row.index(1))
-        # n rows with one 1 each fill every column once exactly when their
-        # columns are distinct
-        if len(one_columns) != n:
-            raise ValueError("column does not contain exactly one 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-
-def exact_determinant(matrix: PermMatrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination.
-
-    Runs general integer elimination rather than reading the sign off the
-    permutation structure, so it stays an independent oracle for
-    ``Perm.signature``.  Guarded to DETERMINANT_SIZE_LIMIT rows because the
-    cost is cubic.
+    Runs general integer elimination rather than reading a sign off any
+    permutation structure, so on the rows of a permutation matrix it stays
+    an independent oracle for ``Perm.signature``.  Guarded to
+    DETERMINANT_SIZE_LIMIT rows, checked before the rows are copied,
+    because the cost is cubic.
     """
-    n = matrix.n
+    n = len(rows)
     if n > DETERMINANT_SIZE_LIMIT:
         raise CostGuardError(f"determinant guard: {n} > {DETERMINANT_SIZE_LIMIT} rows")
-    a = [list(row) for row in matrix.entries]
+    a = [list(row) for row in rows]
+    if n == 0:
+        raise ValueError("empty matrix")
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    bad = next((v for row in a for v in row if type(v) is not int), None)
+    if bad is not None:
+        raise ValueError(f"entry {bad!r} is not an int")
     sign = 1
     prev = 1
     for k in range(n - 1):

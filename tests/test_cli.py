@@ -433,8 +433,9 @@ def test_golden_bytes_of_human_and_matrix_output(run_cli, argv, sha256):
 
 
 # sha256 of stdout and the exit code of matrix outputs up to the matrix guard,
-# recorded while they were still built from the tuple matrix of Perm.to_matrix
-# (the two d = 64 JSON ones: from the flat n*n-entry list that followed it)
+# recorded while they were still built from the tuple matrix of the
+# since-deleted Perm.to_matrix (the two d = 64 JSON ones: from the flat
+# n*n-entry list that followed it)
 @pytest.mark.parametrize("argv,code_expected,sha256", [
     (["analyze", "--d", "64", "--gate", "cnot2", "--matrix"], 0,
      "d5643f6fbb561794f2de8e7f04773bec9c65288f3869ae913cc38ff20df3e95b"),

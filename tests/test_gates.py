@@ -16,7 +16,9 @@ from cnotswap.gates import (
     gate_perm,
     swap_perm,
 )
+from cnotswap.feasibility import decide
 from cnotswap.perm import Perm
+from cnotswap.synthesis import enumerate_group, find_word
 
 from qutrit_tables import (
     CNOT1_IMAGE_D2,
@@ -45,8 +47,9 @@ def test_basis_index_validation():
         basis_index(3, 0, -1)
     with pytest.raises(ValueError):
         basis_digits(3, 9)
-    with pytest.raises(ValueError):
-        basis_index(0, 0, 0)
+    for d in (0, 2.5, 3.0):
+        with pytest.raises(ValueError):
+            basis_index(d, 0, 0)
 
 
 def test_gate_image_tables():
@@ -66,8 +69,17 @@ def test_degenerate_dimension_one():
 
 def test_dimension_zero_rejected():
     for builder in (cnot1_perm, cnot2_perm, swap_perm):
-        with pytest.raises(ValueError):
-            builder(0)
+        for d in (0, 2.5, 3.0):
+            with pytest.raises(ValueError):
+                builder(d)
+
+
+def test_non_integer_dimension_rejected_by_searches_and_decide():
+    # rejected at the dimension check, before a report or a kernel sees d
+    for call in (lambda: find_word(3.0, swap_perm(3)), lambda: decide(3.0),
+                 lambda: enumerate_group(2.5)):
+        with pytest.raises(ValueError, match="need an integer"):
+            call()
 
 
 def test_cnot1_inverse_is_the_subtraction_table():

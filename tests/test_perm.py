@@ -1,11 +1,13 @@
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnotswap.perm import CostGuardError, Perm, PermMatrix, exact_determinant
+from cnotswap.cli import _matrix_rows
+from cnotswap.perm import CostGuardError, Perm, exact_determinant
 
 
 @st.composite
@@ -20,6 +22,11 @@ def perm_pairs(draw, max_n=12):
     p = Perm(draw(st.permutations(list(range(n)))))
     q = Perm(draw(st.permutations(list(range(n)))))
     return p, q
+
+
+def printed_rows(p):
+    """The permutation matrix as the CLI prints it, parsed back to ints."""
+    return [list(map(int, row.split(","))) for row in _matrix_rows(p, ",")]
 
 
 def reconstruct_from_cycles(n, cycles):
@@ -131,6 +138,12 @@ def test_image_is_a_tuple_of_python_ints():
     np.array([1, 1]),
     [[0, 1], [1, 0]],
     np.arange(4).reshape(2, 2),
+    [1.5, 0.5],
+    np.array([1.9, 0.2]),
+    ["1", "0"],
+    [True, False],
+    np.array([1 + 0j, 0j]),
+    [1j, 0],
 ])
 def test_invalid_images_raise_value_error(image):
     with pytest.raises(ValueError):
@@ -303,60 +316,55 @@ def test_signature_bulk_homomorphism_seeded():
         assert (p * q).signature() == p.signature() * q.signature()
 
 
-# -- matrices --
+# -- matrices (the rows the CLI prints) and the determinant oracle --
 
 
 def test_identity_matrix():
-    assert Perm.identity(2).to_matrix().entries == ((1, 0), (0, 1))
+    assert printed_rows(Perm.identity(2)) == [[1, 0], [0, 1]]
 
 
 def test_matrix_entry_convention():
     p = Perm([1, 2, 0])
-    m = p.to_matrix()
+    m = printed_rows(p)
     for j in range(3):
         for i in range(3):
-            assert m.entries[j][i] == (1 if p(i) == j else 0)
-
-
-def test_matrix_validation():
-    for entries, message in [
-        (((1, 1), (0, 0)), "row does not contain exactly one 1"),
-        (((0, 0), (0, 1)), "row does not contain exactly one 1"),
-        (((1, 0), (1, 0)), "column does not contain exactly one 1"),
-        (((0, 1, 0), (0, 0, 1), (0, 1, 0)), "column does not contain exactly one 1"),
-        (((2, 0), (0, 1)), "entry 2 is not 0 or 1"),
-        (((1, 1, 7), (0, 0, 1), (1, 0, 0)), "entry 7 is not 0 or 1"),  # before the row count
-        (((1, 0), (0, 1, 0)), "matrix is not square"),
-        ((), "empty matrix"),
-    ]:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            PermMatrix(entries)
+            assert m[j][i] == (1 if p(i) == j else 0)
 
 
 def test_matrix_rows_are_exact_unit_vectors():
     for n in (1, 2, 5, 64):
         p = Perm(random.Random(n).sample(range(n), n))
-        rows = p.to_matrix().entries
-        assert rows == tuple(tuple(int(p(i) == j) for i in range(n)) for j in range(n))
-        assert all(type(v) is int for row in rows for v in row)
-
-
-# -- determinant oracle --
+        assert printed_rows(p) == [[int(p(i) == j) for i in range(n)] for j in range(n)]
 
 
 def test_determinant_small_cases():
-    assert exact_determinant(Perm.identity(5).to_matrix()) == 1
-    assert exact_determinant(Perm([1, 0]).to_matrix()) == -1
-    assert exact_determinant(Perm([1, 2, 0]).to_matrix()) == 1
+    assert exact_determinant(printed_rows(Perm.identity(5))) == 1
+    assert exact_determinant(printed_rows(Perm([1, 0]))) == -1
+    assert exact_determinant(printed_rows(Perm([1, 2, 0]))) == 1
 
 
 def test_determinant_guard():
-    big = Perm.identity(257).to_matrix()
     with pytest.raises(CostGuardError):
-        exact_determinant(big)
+        exact_determinant(printed_rows(Perm.identity(257)))
+    # the guard reads only the row count: these rows could not be copied
+    with pytest.raises(CostGuardError):
+        exact_determinant([None] * 257)
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([], "empty matrix"),
+    ([[1, 0], [0, 1, 0]], "matrix is not square"),
+    ([[1, 0]], "matrix is not square"),
+    ([[1, 0], [0, 1.0]], "entry 1.0 is not an int"),
+    ([[True, False], [False, True]], "entry True is not an int"),
+    ([[1, 0], [0, np.int64(1)]], "entry np.int64(1) is not an int"),
+])
+def test_determinant_rejects_bad_rows(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        exact_determinant(rows)
 
 
 @settings(max_examples=60)
 @given(perms(max_n=20))
 def test_determinant_matches_signature(p):
-    assert exact_determinant(p.to_matrix()) == p.signature()
+    assert exact_determinant(printed_rows(p)) == p.signature()

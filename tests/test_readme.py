@@ -1,0 +1,34 @@
+"""The README's Library example runs and gives the results its comments state."""
+
+import ast
+import re
+from pathlib import Path
+
+from cnotswap.feasibility import Verdict
+from cnotswap.gates import GateKind, LinearMap2
+from cnotswap.synthesis import GateWord
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## Library\n"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_block_runs():
+    namespace = {}
+    values = []
+    for stmt in ast.parse(library_block(), filename="README.md").body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    c1, c2 = GateKind.CNOT1, GateKind.CNOT2
+    assert values == [
+        Verdict.INFEASIBLE_BY_PARITY,
+        GateWord(d=2, letters=(c1, c2, c1)),
+        24,
+        LinearMap2(d=5, a=0, b=1, c=1, e=0),
+    ]
