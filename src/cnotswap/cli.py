@@ -136,8 +136,16 @@ def _repeated(unit: str, times: int) -> Iterator[str]:
 
 
 def _json_pieces(value, newline: str) -> Iterator[str]:
-    """Pieces of the JSON text of ``value``; ``newline`` is a line break plus
-    the indent of the line the value starts on."""
+    """Pieces of ``json.dumps(value, indent=2, sort_keys=True)``; ``newline``
+    is a line break plus the indent of the line the value starts on.
+
+    ``value`` is built of dicts, lists, tuples, str, int, float, bool, None and
+    ``Perm``, written as its matrix entries in row-major order; other types
+    raise TypeError, as in ``json.dumps``.  The cost follows the bytes
+    written: a dict with str keys goes out key by key, a ``Perm`` row by row,
+    a list of one of the _RUN_TYPES run by run, any other list item by item,
+    and any other value as one re-indented ``json.dumps`` piece.
+    """
     inner = newline + "  "
     if isinstance(value, Perm):  # one entry a line: rows and entries share one separator
         prefix = "[" + inner
@@ -167,22 +175,8 @@ def _json_pieces(value, newline: str) -> Iterator[str]:
         yield json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
-def write_json(value, write) -> None:
-    """Write ``json.dumps(value, indent=2, sort_keys=True)`` through ``write``.
-
-    ``value`` is built of dicts, lists, tuples, str, int, float, bool, None and
-    ``Perm``, written as its matrix entries in row-major order; other types
-    raise TypeError, as in ``json.dumps``.  The text goes out in pieces, so the
-    cost follows the bytes written: a dict with str keys key by key, a ``Perm``
-    row by row, a list of one of the _RUN_TYPES run by run, any other list item
-    by item, and any other value as one re-indented ``json.dumps`` piece.
-    """
-    for piece in _json_pieces(value, "\n"):
-        write(piece)
-
-
 def _json_lines(value) -> Iterator[str]:
-    """The text ``write_json`` writes for ``value``, in pieces, and a newline."""
+    """The JSON text of ``value``, in pieces, and a newline."""
     yield from _json_pieces(value, "\n")
     yield "\n"
 

@@ -38,6 +38,8 @@ GATE_MATRICES = {
 
 def _check_dimension(d: int) -> None:
     try:
+        if isinstance(d, bool):  # operator.index reads True as 1
+            raise TypeError
         operator.index(d)
     except TypeError:
         raise ValueError(f"invalid dimension {d!r}; need an integer") from None

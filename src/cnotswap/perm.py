@@ -40,6 +40,9 @@ class Perm:
         if isinstance(image, np.ndarray) and image.dtype != object:
             if image.dtype.kind not in "iu":
                 raise ValueError(f"image values must be integers, not {image.dtype}")
+            # the int64 cast below wraps uint64 values past the int64 maximum
+            if image.dtype == np.uint64 and image.size and image.max() > np.iinfo(np.int64).max:
+                raise ValueError(f"image value outside int64: {image.max()}")
         else:
             image = list(image)
         try:

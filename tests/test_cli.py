@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnotswap.cli import main, write_json
+from cnotswap.cli import _json_pieces, main
 from cnotswap.gates import swap_perm
 from cnotswap.perm import Perm
 from qutrit_tables import CNOT1_MATRIX_D3, CNOT2_MATRIX_D3, SWAP_MATRIX_D3
@@ -509,9 +509,7 @@ def test_json_matrix_streams_from_the_permutation(argv):
 
 
 def written(value) -> str:
-    pieces = []
-    write_json(value, pieces.append)
-    return "".join(pieces)
+    return "".join(_json_pieces(value, "\n"))
 
 
 # items that compare equal across types, or encode differently while equal
@@ -602,15 +600,9 @@ def test_writer_memory_stays_below_the_output():
               "result": {"cycle_type": ct, "d": 1000, "fixed_points": 1000, "gate": "swap",
                          "matrix": None, "signature": 1},
               "version": "0"}
-    chars = 0
-
-    def count(piece):
-        nonlocal chars
-        chars += len(piece)
-
     tracemalloc.start()
     try:
-        write_json(report, count)
+        chars = sum(map(len, _json_pieces(report, "\n")))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -47,7 +47,7 @@ def test_basis_index_validation():
         basis_index(3, 0, -1)
     with pytest.raises(ValueError):
         basis_digits(3, 9)
-    for d in (0, 2.5, 3.0):
+    for d in (0, 2.5, 3.0, True):
         with pytest.raises(ValueError):
             basis_index(d, 0, 0)
 
@@ -69,7 +69,7 @@ def test_degenerate_dimension_one():
 
 def test_dimension_zero_rejected():
     for builder in (cnot1_perm, cnot2_perm, swap_perm):
-        for d in (0, 2.5, 3.0):
+        for d in (0, 2.5, 3.0, True):
             with pytest.raises(ValueError):
                 builder(d)
 
@@ -77,7 +77,7 @@ def test_dimension_zero_rejected():
 def test_non_integer_dimension_rejected_by_searches_and_decide():
     # rejected at the dimension check, before a report or a kernel sees d
     for call in (lambda: find_word(3.0, swap_perm(3)), lambda: decide(3.0),
-                 lambda: enumerate_group(2.5)):
+                 lambda: decide(True), lambda: enumerate_group(2.5)):
         with pytest.raises(ValueError, match="need an integer"):
             call()
 

@@ -127,6 +127,9 @@ def test_image_is_a_tuple_of_python_ints():
     assert type(p.signature()) is int
 
 
+UINT64_PAST_INT64 = np.array([2**63, 0], dtype=np.uint64)
+
+
 @pytest.mark.parametrize("image", [
     [],
     np.array([], dtype=np.int64),
@@ -144,10 +147,14 @@ def test_image_is_a_tuple_of_python_ints():
     [True, False],
     np.array([1 + 0j, 0j]),
     [1j, 0],
+    UINT64_PAST_INT64,
 ])
 def test_invalid_images_raise_value_error(image):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         Perm(image)
+    if image is UINT64_PAST_INT64:
+        # not the -2**63 that an int64 cast would wrap it to
+        assert str(info.value) == "image value outside int64: 9223372036854775808"
 
 
 # -- composition and inversion --
