@@ -27,10 +27,21 @@ def sweep():
     return module
 
 
-def test_sweep_runs_to_its_summary():
-    proc = run_sweep("--d-max", "6")
+@pytest.mark.parametrize("script,summary", [
+    ("group_growth.py", "all orders match the SL(2, Z_d) formula"),
+    ("dimension_sweep.py", "swap synthesized: [1, 2]"),
+])
+def test_script_runs_to_its_summary(script, summary, tmp_path):
+    # the sweep replaces both scripts: group_growth.py's summary is its last
+    # line, and dimension_sweep.py's is read off the rows it writes
+    out = tmp_path / "rows.json"
+    proc = run_sweep("--d-max", "6", "--json-out", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.rstrip().splitlines()[-1] == "all orders match the SL(2, Z_d) formula"
+    found = [row["d"] for row in json.loads(out.read_text())
+             if row["search"] == SearchOutcome.FOUND.value]
+    summaries = {"group_growth.py": proc.stdout.rstrip().splitlines()[-1],
+                 "dimension_sweep.py": f"swap synthesized: {found}"}
+    assert summaries[script] == summary
 
 
 def test_sweep_takes_the_order_of_an_exhausted_search(sweep, monkeypatch):
@@ -108,10 +119,14 @@ def test_sweep_reports_a_guard_as_a_row(argv, cells):
     assert row.split()[:len(cells)] == cells and "guard" in row
 
 
+@pytest.mark.parametrize("script", ["group_growth.py", "dimension_sweep.py"])
 @pytest.mark.parametrize("argv", [["--d-min", "0", "--d-max", "1"], ["--max-elements", "0"],
                                   ["--d-max", "-3"]])
-def test_sweep_refuses_a_non_positive_integer_as_a_usage_error(argv):
-    proc = run_sweep(*argv)
+def test_scripts_refuse_a_non_positive_integer_as_a_usage_error(script, argv):
+    # each argv alone, as group_growth.py ran, and with --skip-search, as
+    # dimension_sweep.py's certificate-only runs did: the usage error wins
+    extra = {"group_growth.py": [], "dimension_sweep.py": ["--skip-search"]}[script]
+    proc = run_sweep(*argv, *extra)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "must be a positive integer" in proc.stderr
