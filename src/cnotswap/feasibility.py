@@ -46,7 +46,7 @@ def swap_signature_formula(d: int) -> int:
 
     Deliberately independent of the cycle-count route in ``Perm.signature``.
     """
-    _check_dimension(d)
+    d = _check_dimension(d)
     return -1 if (d * (d - 1) // 2) % 2 else 1
 
 
@@ -57,7 +57,7 @@ def parity_report(d: int) -> ParityReport:
     is computed twice (cycle count and closed form) and any disagreement is
     a hard error: the two routes are double-entry bookkeeping.
     """
-    _check_dimension(d)
+    d = _check_dimension(d)
     if d > PARITY_DIMENSION_LIMIT:
         raise CostGuardError(
             f"parity guard: d = {d} exceeds {PARITY_DIMENSION_LIMIT} (permutations on d*d points)"

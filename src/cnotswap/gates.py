@@ -36,20 +36,27 @@ GATE_MATRICES = {
 }
 
 
-def _check_dimension(d: int) -> None:
+def _check_integer(value, name: str, least: int) -> int:
+    """``value`` as a plain int, which numpy integers become too; ValueError
+    for a bool, a non-integer or a value below ``least``."""
     try:
-        if isinstance(d, bool):  # operator.index reads True as 1
+        if isinstance(value, bool):  # operator.index reads True as 1
             raise TypeError
-        operator.index(d)
+        value = operator.index(value)
     except TypeError:
-        raise ValueError(f"invalid dimension {d!r}; need an integer") from None
-    if d < 1:
-        raise ValueError(f"invalid dimension {d}; need d >= 1")
+        raise ValueError(f"invalid {name} {value!r}; need an integer") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
+def _check_dimension(d: int) -> int:
+    return _check_integer(d, "dimension", 1)
 
 
 def basis_index(d: int, m: int, n: int) -> int:
     """Flat index d*m + n of the basis state with digits (m, n)."""
-    _check_dimension(d)
+    d = _check_dimension(d)
     if not (0 <= m < d and 0 <= n < d):
         raise ValueError(f"digits ({m}, {n}) outside Z_{d}")
     return d * m + n
@@ -57,23 +64,22 @@ def basis_index(d: int, m: int, n: int) -> int:
 
 def basis_digits(d: int, flat: int) -> tuple[int, int]:
     """Digits (m, n) of the flat basis index."""
-    _check_dimension(d)
+    d = _check_dimension(d)
     if not 0 <= flat < d * d:
         raise ValueError(f"flat index {flat} outside 0..{d * d - 1}")
     return divmod(flat, d)
 
 
 def _linear_images(d: int, a, b, c, e) -> np.ndarray:
-    """Image tables of (m, n) -> (a*m + b*n, c*m + e*n) mod d, shape (..., d, d).
+    """Image table of (m, n) -> (a*m + b*n, c*m + e*n) mod d, shape (d, d).
 
-    Coefficients lie in 0 .. d-1.  Scalars give one table; coefficient arrays
-    of shape (k, 1) give one per map.  Entry [m, n] is the image of the basis
-    state d*m + n, so a table ravels in flat-index order.  The products x*m
+    Coefficients lie in 0 .. d-1.  Entry [m, n] is the image of the basis
+    state d*m + n, so the table ravels in flat-index order.  The products x*m
     and y*n are reduced on the d digits before they broadcast, so each
     coordinate is one sum below 2*d on the grid, brought under d by one
     subtraction.  Tables are int32 while d*d fits.
     """
-    _check_dimension(d)
+    d = _check_dimension(d)
     digits = np.arange(d, dtype=np.int32 if d * d <= 2**31 else np.int64)
 
     def coordinate(x, y):
@@ -131,7 +137,7 @@ def as_linear_map(p: Perm, d: int) -> LinearMap2 | None:
     candidate is accepted only if it reproduces p on every basis state.
     Linear maps fix the origin, so p(0) != 0 fails immediately.
     """
-    _check_dimension(d)
+    d = _check_dimension(d)
     if len(p) != d * d:
         raise ValueError(f"permutation on {len(p)} points does not match d*d = {d * d}")
     if p(0) != 0:

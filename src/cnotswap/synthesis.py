@@ -7,10 +7,8 @@ determinant 1.  The search holds the current frontier as faithful keys in
 tables per generator, and records only each element's birth, its position
 among its layer's children, from which its parent and letter follow.  Every
 answer is read off the births: a census from their layer lengths, a word by
-walking them back, and ``group_elements`` by replaying them as matrix
-products.  Image tables are built only for callers that ask for
-permutations, ``group_elements`` and ``apply_word``, both from matrices by
-``gates._linear_images``.
+walking them back, and ``group_elements`` by replaying them as products of
+the two CNOT permutations, each element its letter's times its parent's.
 
 The Cayley graph is explored breadth-first: appending a generator to the
 end of a circuit-time word is one edge, so the depth of an element's first
@@ -32,8 +30,8 @@ from enum import Enum
 import numpy as np
 
 from .gates import (
-    GATE_MATRICES, GENERATORS, GateKind, LinearMap2, as_linear_map, _check_dimension,
-    _linear_images,
+    GATE_MATRICES, GENERATORS, GateKind, LinearMap2, as_linear_map, gate_perm,
+    _check_dimension, _check_integer, _linear_images,
 )
 from .perm import CostGuardError, Perm
 
@@ -42,9 +40,6 @@ DEFAULT_MAX_DIMENSION = 31
 # bytes the closure's dense per-call state may take (``_key_state_bytes``):
 # 16.9 MB at d = 160, and d <= 254 fits
 KEY_STATE_BUDGET = 64 << 20
-# group elements whose image tables group_elements builds at once, which
-# bounds its temporaries to a few of these slices (d = 31: 7.9 MB each)
-_TABLE_SLICE = 1024
 
 
 @dataclass(frozen=True)
@@ -55,7 +50,7 @@ class GateWord:
     letters: tuple[GateKind, ...]
 
     def __post_init__(self):
-        _check_dimension(self.d)
+        object.__setattr__(self, "d", _check_dimension(self.d))
         for letter in self.letters:
             if letter not in GENERATORS:
                 raise ValueError(f"{letter} is not a generator gate")
@@ -253,8 +248,6 @@ def _closure_bfs(
     A depth cap stops before layer ``max_depth`` is expanded; an element cap
     stops when the next layer would take the elements over it.
     """
-    if max_elements < 1:
-        raise ValueError("max_elements must be >= 1")
     bezout = _bezout_table(d)
     step1, step2 = _step_tables(d, bezout)
     ident = np.array([_keys(d, bezout, 1 % d * d, 1 % d)], dtype=np.int32)
@@ -322,9 +315,11 @@ def _word_from_records(closure: _Closure, d: int) -> GateWord:
     return GateWord(d=d, letters=tuple(reversed(out)))
 
 
-def check_search_guards(d: int, max_dimension: int) -> None:
-    """Raise before a search at d allocates anything it would not be allowed."""
-    _check_dimension(d)
+def check_search_guards(d: int, max_dimension: int) -> int:
+    """Raise before a search at d allocates anything it would not be allowed;
+    return d as a plain int."""
+    d = _check_dimension(d)
+    max_dimension = _check_integer(max_dimension, "max_dimension", 1)
     if d > max_dimension:
         raise CostGuardError(
             f"search guard: d = {d} exceeds {max_dimension}; "
@@ -335,11 +330,13 @@ def check_search_guards(d: int, max_dimension: int) -> None:
             f"search guard: the visited keys at d = {d} need {_key_state_bytes(d)} bytes, "
             f"over the budget of {KEY_STATE_BUDGET}"
         )
+    return d
 
 
 def sl2_order(d: int) -> int:
     """Order of SL(2, Z_d), the group the two CNOTs generate: d**3 times the
     product of (1 - p**-2) over the primes p dividing d."""
+    d = _check_dimension(d)
     order, rest = d**3, d
     for p in range(2, d + 1):  # a p that still divides rest is prime
         if rest % p == 0:
@@ -356,7 +353,8 @@ def enumerate_group(
     max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> GroupCensus | GroupTooLarge:
     """Enumerate the whole generated group; order, diameter, layer counts."""
-    check_search_guards(d, max_dimension)
+    d = check_search_guards(d, max_dimension)
+    max_elements = _check_integer(max_elements, "max_elements", 1)
     closure = _closure_bfs(d, max_elements=max_elements)
     if closure.status == "capped":
         # the cap fired with exactly max_elements elements admitted
@@ -371,31 +369,22 @@ def group_elements(
     max_elements: int = DEFAULT_MAX_ELEMENTS,
     max_dimension: int = DEFAULT_MAX_DIMENSION,
 ) -> list[Perm]:
-    """All group elements in breadth-first order (identity first)."""
-    check_search_guards(d, max_dimension)
+    """All group elements in breadth-first order (identity first), each
+    replayed from its birth as its letter's gate times its parent."""
+    d = check_search_guards(d, max_dimension)
+    max_elements = _check_integer(max_elements, "max_elements", 1)
     closure = _closure_bfs(d, max_elements=max_elements)
     if closure.status != "complete":
         raise CostGuardError(
             f"group at d = {d} exceeds the {max_elements}-element cap"
         )
-    matrices = _replay(d, closure.births)
-    out = []
-    for start in range(0, matrices.shape[1], _TABLE_SLICE):
-        tables = _linear_images(d, *matrices[:, start : start + _TABLE_SLICE, None])
-        out.extend(Perm(table.ravel()) for table in tables)
+    gates = [gate_perm(kind, d) for kind in GENERATORS]
+    out = [Perm.identity(d * d)]
+    start = 0
+    for births in closure.births[1:]:
+        parents, start = out[start:], len(out)
+        out.extend(gates[birth % 2] * parents[birth // 2] for birth in births.tolist())
     return out
-
-
-def _replay(d: int, births: list[np.ndarray]) -> np.ndarray:
-    """The entries (a, b, c, e), as a (4, n) array, of the n elements the
-    births record, in breadth-first order: each element is its letter's
-    matrix times its parent's."""
-    generators = np.array([GATE_MATRICES[kind] for kind in GENERATORS]).T
-    layers = [np.array([[1 % d], [0], [0], [1 % d]])]
-    for layer in births[1:]:
-        parent, letter = np.divmod(layer, 2)
-        layers.append(np.stack(_product(d, generators[:, letter], layers[-1][:, parent])))
-    return np.concatenate(layers, axis=1)
 
 
 def find_word(
@@ -415,13 +404,14 @@ def find_word(
     map, or is one of determinant other than 1, is no matrix of the group,
     so its search never meets it.
     """
-    check_search_guards(d, max_dimension)
+    d = check_search_guards(d, max_dimension)
     if len(target) != d * d:
         raise ValueError(
             f"target on {len(target)} points does not match d*d = {d * d}"
         )
-    if max_depth is not None and max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+    if max_depth is not None:
+        max_depth = _check_integer(max_depth, "max_depth", 0)
+    max_elements = _check_integer(max_elements, "max_elements", 1)
     closure = _closure_bfs(
         d, max_elements=max_elements, max_depth=max_depth, target=as_linear_map(target, d)
     )

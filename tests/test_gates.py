@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple
 from math import gcd
 
 import numpy as np
@@ -17,8 +18,8 @@ from cnotswap.gates import (
     swap_perm,
 )
 from cnotswap.feasibility import decide
-from cnotswap.perm import Perm
-from cnotswap.synthesis import enumerate_group, find_word
+from cnotswap.perm import CostGuardError, Perm
+from cnotswap.synthesis import check_search_guards, enumerate_group, find_word, sl2_order
 
 from qutrit_tables import (
     CNOT1_IMAGE_D2,
@@ -68,8 +69,8 @@ def test_degenerate_dimension_one():
 
 
 def test_dimension_zero_rejected():
-    for builder in (cnot1_perm, cnot2_perm, swap_perm):
-        for d in (0, 2.5, 3.0, True):
+    for builder in (cnot1_perm, cnot2_perm, swap_perm, sl2_order):
+        for d in (0, -3, 2.5, 3.0, True):
             with pytest.raises(ValueError):
                 builder(d)
 
@@ -77,9 +78,27 @@ def test_dimension_zero_rejected():
 def test_non_integer_dimension_rejected_by_searches_and_decide():
     # rejected at the dimension check, before a report or a kernel sees d
     for call in (lambda: find_word(3.0, swap_perm(3)), lambda: decide(3.0),
-                 lambda: decide(True), lambda: enumerate_group(2.5)):
+                 lambda: decide(True), lambda: enumerate_group(2.5),
+                 lambda: sl2_order(2.5), lambda: sl2_order(True)):
         with pytest.raises(ValueError, match="need an integer"):
             call()
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, np.uint16, np.int32])
+def test_numpy_integer_dimensions_act_as_plain_ints(kind):
+    # an int64 d made the int32 search frontier int64, a uint64 d failed in
+    # the Bézout table, and the report held numpy values that JSON refuses
+    d = kind(3)
+    report, found, census = decide(d).report, find_word(d, cnot1_perm(3)), enumerate_group(d)
+    assert report == decide(3).report and census == enumerate_group(3)
+    assert found == find_word(3, cnot1_perm(3))
+    assert find_word(d, swap_perm(3)) == find_word(3, swap_perm(3))
+    # numpy integers compare equal to ints, so the types are checked apart
+    assert {type(v) for v in astuple(report)} == {int}
+    assert {type(found.word.d), type(census.d), type(census.order), type(census.diameter)} == {int}
+    # a uint16 d**3 wrapped, and the key-state budget let d = 300 through
+    with pytest.raises(CostGuardError, match="d = 300 need 109440000 bytes"):
+        check_search_guards(kind(300), 300)
 
 
 def test_cnot1_inverse_is_the_subtraction_table():

@@ -1,7 +1,10 @@
-"""The README's Library example runs and gives the results its comments state."""
+"""The README's Library example runs and gives the results its comments
+state, and its sweep table is what the sweep prints."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from cnotswap.feasibility import Verdict
@@ -9,6 +12,7 @@ from cnotswap.gates import GateKind, LinearMap2
 from cnotswap.synthesis import GateWord
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SWEEP = README.parent / "scripts" / "sweep.py"
 
 
 def library_block() -> str:
@@ -32,3 +36,10 @@ def test_readme_library_block_runs():
         24,
         LinearMap2(d=5, a=0, b=1, c=1, e=0),
     ]
+
+
+def test_readme_sweep_table_is_what_the_sweep_prints():
+    proc = subprocess.run([sys.executable, str(SWEEP), "--d-max", "12"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip(), proc.stderr
+    assert proc.stdout in README.read_text(encoding="utf-8")

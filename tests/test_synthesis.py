@@ -20,7 +20,6 @@ from cnotswap.synthesis import (
     _closure_bfs,
     _key_state_bytes,
     _keys,
-    _replay,
     _step,
     _step_tables,
     GateWord,
@@ -262,11 +261,13 @@ def test_element_cap_mid_layer_stops_at_exactly_the_cap(d, k):
         assert capped.frontier_size == counts[filling - 1]
 
 
-@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("cap", [0, -1, 2.5, True])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_searches_reject_an_element_cap_below_one(d, cap):
     # before the check, d = 2 and cap 0 gave GroupTooLarge(elements_found=1),
-    # a count over the cap, and the identity target at d = 3 was FOUND
+    # a count over the cap, and the identity target at d = 3 was FOUND; a
+    # cap of 2.5 was reported back as elements_found=2.5, and True acted as 1
+    message = "max_elements must be >= 1" if type(cap) is int else "need an integer"
     searches = [
         lambda: enumerate_group(d, max_elements=cap),
         lambda: group_elements(d, max_elements=cap),
@@ -274,7 +275,7 @@ def test_searches_reject_an_element_cap_below_one(d, cap):
         lambda: find_word(d, Perm.identity(d * d), max_elements=cap),
     ]
     for search in searches:
-        with pytest.raises(ValueError, match="max_elements must be >= 1"):
+        with pytest.raises(ValueError, match=message):
             search()
 
 
@@ -309,10 +310,7 @@ def reference_elements(d):
 
 
 @pytest.mark.parametrize("d", range(1, 9))
-@pytest.mark.parametrize("table_slice", [1, 7, 1024])
-def test_group_elements_in_slices_match_a_per_element_reference(monkeypatch, d, table_slice):
-    # slices of 1 and 7 elements end both on and off a slice boundary
-    monkeypatch.setattr("cnotswap.synthesis._TABLE_SLICE", table_slice)
+def test_group_elements_match_a_per_element_reference(d):
     assert group_elements(d) == reference_elements(d)
 
 
@@ -421,8 +419,10 @@ def test_find_word_size_mismatch():
 
 
 def test_find_word_negative_depth():
-    with pytest.raises(ValueError):
-        find_word(2, swap_perm(2), max_depth=-1)
+    # a depth of 1.5 or True used to run
+    for depth in (-1, 2.5, True):
+        with pytest.raises(ValueError):
+            find_word(2, swap_perm(2), max_depth=depth)
 
 
 def test_qubit_depths_match_brute_force():
@@ -585,11 +585,11 @@ def d4_key_closure(d, *, max_elements, max_depth=None, target=None):
     return RefClosure("complete", size, layers, parents, letters, counts)
 
 
-def assert_same_closure(got, ref, d):
+def assert_same_closure(got, ref):
     """Same stop, counts and records, read off the births as the callers read
-    them: every element's matrix, replayed from the births, and its parent and
-    letter, decoded from its birth, equal the reference's, so both give equal
-    least words."""
+    them: every element's parent and letter, decoded from its birth, equal the
+    reference's, and since the reference builds each element as letter times
+    parent, both hold the same elements and give equal least words."""
     lengths = [len(births) for births in got.births]
     assert lengths == [len(layer) for layer in ref.layers]
     if ref.status == "complete":
@@ -607,7 +607,6 @@ def assert_same_closure(got, ref, d):
         # found; the ones recorded fit under it
         if ref.status == "element_cap":
             assert sum(lengths) <= ref.size
-    assert np.array_equal(_replay(d, got.births).T, np.concatenate(ref.layers))
     # a birth is a position in its layer's (parent, CNOT1 before CNOT2) order
     starts = np.cumsum([0] + lengths)
     parents = [np.array([-1])] + [
@@ -625,7 +624,7 @@ def linear_perm(lm):
 @pytest.mark.parametrize("d", range(1, 17))
 def test_kernel_matches_the_d4_key_reference(d):
     full = d4_key_closure(d, max_elements=DEFAULT_MAX_ELEMENTS)
-    assert_same_closure(_closure_bfs(d, max_elements=DEFAULT_MAX_ELEMENTS), full, d)
+    assert_same_closure(_closure_bfs(d, max_elements=DEFAULT_MAX_ELEMENTS), full)
     order, diameter = full.size, len(full.counts_by_depth) - 1
     elements = [LinearMap2(d, *row) for row in np.concatenate(full.layers).tolist()]
     targets = [None, as_linear_map(swap_perm(d), d), LinearMap2(d, 1 % d, 0, 0, -1 % d)]
@@ -639,13 +638,11 @@ def test_kernel_matches_the_d4_key_reference(d):
                              target=target),
                 d4_key_closure(d, max_elements=DEFAULT_MAX_ELEMENTS, max_depth=max_depth,
                                target=target),
-                d,
             )
         for cap in element_caps:
             assert_same_closure(
                 _closure_bfs(d, max_elements=cap, target=target),
                 d4_key_closure(d, max_elements=cap, target=target),
-                d,
             )
 
 
