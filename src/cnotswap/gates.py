@@ -10,13 +10,12 @@ table of its permutation; the gates live here as ``Perm`` objects.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .perm import Perm
+from .perm import Perm, _check_integer
 
 
 class GateKind(Enum):
@@ -36,20 +35,6 @@ GATE_MATRICES = {
 }
 
 
-def _check_integer(value, name: str, least: int) -> int:
-    """``value`` as a plain int, which numpy integers become too; ValueError
-    for a bool, a non-integer or a value below ``least``."""
-    try:
-        if isinstance(value, bool):  # operator.index reads True as 1
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"invalid {name} {value!r}; need an integer") from None
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return value
-
-
 def _check_dimension(d: int) -> int:
     return _check_integer(d, "dimension", 1)
 
@@ -57,7 +42,8 @@ def _check_dimension(d: int) -> int:
 def basis_index(d: int, m: int, n: int) -> int:
     """Flat index d*m + n of the basis state with digits (m, n)."""
     d = _check_dimension(d)
-    if not (0 <= m < d and 0 <= n < d):
+    m, n = _check_integer(m, "digit", 0), _check_integer(n, "digit", 0)
+    if m >= d or n >= d:
         raise ValueError(f"digits ({m}, {n}) outside Z_{d}")
     return d * m + n
 
@@ -65,7 +51,7 @@ def basis_index(d: int, m: int, n: int) -> int:
 def basis_digits(d: int, flat: int) -> tuple[int, int]:
     """Digits (m, n) of the flat basis index."""
     d = _check_dimension(d)
-    if not 0 <= flat < d * d:
+    if _check_integer(flat, "flat index", 0) >= d * d:
         raise ValueError(f"flat index {flat} outside 0..{d * d - 1}")
     return divmod(flat, d)
 
@@ -142,9 +128,7 @@ def as_linear_map(p: Perm, d: int) -> LinearMap2 | None:
         raise ValueError(f"permutation on {len(p)} points does not match d*d = {d * d}")
     if p(0) != 0:
         return None
-    if d == 1:
-        return LinearMap2(1, 0, 0, 0, 0)
-    a, c = basis_digits(d, p(basis_index(d, 1, 0)))
-    b, e = basis_digits(d, p(basis_index(d, 0, 1)))
+    a, c = basis_digits(d, p(basis_index(d, 1 % d, 0)))
+    b, e = basis_digits(d, p(basis_index(d, 0, 1 % d)))
     candidate = LinearMap2(d, a, b, c, e)
     return candidate if np.array_equal(_linear_images(d, a, b, c, e).ravel(), p.table) else None

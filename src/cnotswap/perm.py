@@ -11,6 +11,7 @@ parity shortcut so it can serve as an independent cross-check of
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -22,6 +23,20 @@ DETERMINANT_SIZE_LIMIT = 256
 
 class CostGuardError(ValueError):
     """An operation would exceed its resource guard."""
+
+
+def _check_integer(value, name: str, least: int) -> int:
+    """``value`` as a plain int, which numpy integers become too; ValueError
+    for a bool, a non-integer or a value below ``least``."""
+    try:
+        if isinstance(value, bool):  # operator.index reads True as 1
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"invalid {name} {value!r}; need an integer") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 class Perm:
@@ -75,9 +90,7 @@ class Perm:
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
-        if n < 1:
-            raise ValueError(f"invalid size {n}; need at least one point")
-        return cls(np.arange(n))
+        return cls(np.arange(_check_integer(n, "size", 1)))
 
     @property
     def image(self) -> tuple[int, ...]:

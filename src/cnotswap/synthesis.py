@@ -31,14 +31,15 @@ import numpy as np
 
 from .gates import (
     GATE_MATRICES, GENERATORS, GateKind, LinearMap2, as_linear_map, gate_perm,
-    _check_dimension, _check_integer, _linear_images,
+    _check_dimension, _linear_images,
 )
-from .perm import CostGuardError, Perm
+from .perm import CostGuardError, Perm, _check_integer
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
 DEFAULT_MAX_DIMENSION = 31
 # bytes the closure's dense per-call state may take (``_key_state_bytes``):
-# 16.9 MB at d = 160, and d <= 254 fits
+# 16.9 MB at d = 160, and d <= 254 fits; also the bytes of the image tables
+# ``group_elements`` returns, 8*d*d per element, where d <= 24 fits
 KEY_STATE_BUDGET = 64 << 20
 
 
@@ -106,8 +107,7 @@ def apply_word(word: GateWord) -> Perm:
 
 
 def _product(d: int, g, m):
-    """The product g*m mod d of two matrices (a, b, c, e), entrywise over
-    ints or over numpy arrays of many matrices at once."""
+    """The product g*m mod d of two matrices (a, b, c, e) of ints."""
     p, q, r, s = g
     a, b, c, e = m
     return (p * a + q * c) % d, (p * b + q * e) % d, (r * a + s * c) % d, (r * b + s * e) % d
@@ -337,12 +337,15 @@ def sl2_order(d: int) -> int:
     """Order of SL(2, Z_d), the group the two CNOTs generate: d**3 times the
     product of (1 - p**-2) over the primes p dividing d."""
     d = _check_dimension(d)
-    order, rest = d**3, d
-    for p in range(2, d + 1):  # a p that still divides rest is prime
+    order, rest, p = d**3, d, 2
+    while p * p <= rest:  # a p that still divides rest is prime
         if rest % p == 0:
             order = order * (p * p - 1) // (p * p)
             while rest % p == 0:
                 rest //= p
+        p += 1 if p == 2 else 2  # 2, then the odd numbers
+    if rest > 1:  # no factor up to its square root: rest is prime
+        order = order * (rest * rest - 1) // (rest * rest)
     return order
 
 
@@ -363,21 +366,19 @@ def enumerate_group(
     return GroupCensus(d=d, order=sum(counts), diameter=len(counts) - 1, counts_by_depth=counts)
 
 
-def group_elements(
-    d: int,
-    *,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-    max_dimension: int = DEFAULT_MAX_DIMENSION,
-) -> list[Perm]:
+def group_elements(d: int) -> list[Perm]:
     """All group elements in breadth-first order (identity first), each
-    replayed from its birth as its letter's gate times its parent."""
-    d = check_search_guards(d, max_dimension)
-    max_elements = _check_integer(max_elements, "max_elements", 1)
-    closure = _closure_bfs(d, max_elements=max_elements)
-    if closure.status != "complete":
+    replayed from its birth as its letter's gate times its parent.  Their
+    tables take 8*d*d bytes each; a list over KEY_STATE_BUDGET (d >= 25) is
+    refused before anything is allocated."""
+    d = _check_dimension(d)
+    order = sl2_order(d)
+    if 8 * d * d * order > KEY_STATE_BUDGET:
         raise CostGuardError(
-            f"group at d = {d} exceeds the {max_elements}-element cap"
+            f"group guard: the {order} tables at d = {d} need {8 * d * d * order} bytes, "
+            f"over the budget of {KEY_STATE_BUDGET}"
         )
+    closure = _closure_bfs(d, max_elements=order)
     gates = [gate_perm(kind, d) for kind in GENERATORS]
     out = [Perm.identity(d * d)]
     start = 0
@@ -405,10 +406,6 @@ def find_word(
     so its search never meets it.
     """
     d = check_search_guards(d, max_dimension)
-    if len(target) != d * d:
-        raise ValueError(
-            f"target on {len(target)} points does not match d*d = {d * d}"
-        )
     if max_depth is not None:
         max_depth = _check_integer(max_depth, "max_depth", 0)
     max_elements = _check_integer(max_elements, "max_elements", 1)

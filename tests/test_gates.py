@@ -48,6 +48,12 @@ def test_basis_index_validation():
         basis_index(3, 0, -1)
     with pytest.raises(ValueError):
         basis_digits(3, 9)
+    # basis_index(3, 1.5, 0) returned 4.5
+    for m, n in ((1.5, 0), (0, 1.5), (True, 0), (0, 1.0)):
+        with pytest.raises(ValueError, match="need an integer"):
+            basis_index(3, m, n)
+    with pytest.raises(ValueError, match="need an integer"):
+        basis_digits(3, 1.5)
     for d in (0, 2.5, 3.0, True):
         with pytest.raises(ValueError):
             basis_index(d, 0, 0)

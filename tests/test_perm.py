@@ -73,6 +73,10 @@ def test_identity_images():
 def test_identity_rejects_size_zero():
     with pytest.raises(ValueError):
         Perm.identity(0)
+    # True made a one-point permutation, and 2.5 failed on the image dtype
+    for n in (True, 2.5, 3.0):
+        with pytest.raises(ValueError, match="need an integer"):
+            Perm.identity(n)
 
 
 def test_rejects_non_bijections():

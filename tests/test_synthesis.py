@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import tracemalloc
@@ -218,6 +219,26 @@ def test_swap_is_found_exactly_for_d_up_to_2(d):
         assert result.group_order == sl2_order(d)
 
 
+def old_sl2_order(d):
+    """Trial division by every p up to d, as sl2_order once ran."""
+    order, rest = d**3, d
+    for p in range(2, d + 1):
+        if rest % p == 0:
+            order = order * (p * p - 1) // (p * p)
+            while rest % p == 0:
+                rest //= p
+    return order
+
+
+def test_sl2_order_stops_at_the_square_root():
+    assert [sl2_order(d) for d in range(1, 2001)] == [old_sl2_order(d) for d in range(1, 2001)]
+    p = 10**9 + 7  # prime
+    assert sl2_order(p) == p**3 - p
+    # a large prime factor is left over once p*p passes the rest
+    d = 12 * p
+    assert sl2_order(d) == d**3 * 3 * 8 * (p * p - 1) // (4 * 9 * p * p)
+
+
 def test_element_cap_yields_too_large():
     result = enumerate_group(3, max_elements=10)
     assert isinstance(result, GroupTooLarge)
@@ -270,7 +291,6 @@ def test_searches_reject_an_element_cap_below_one(d, cap):
     message = "max_elements must be >= 1" if type(cap) is int else "need an integer"
     searches = [
         lambda: enumerate_group(d, max_elements=cap),
-        lambda: group_elements(d, max_elements=cap),
         lambda: find_word(d, swap_perm(d), max_elements=cap),
         lambda: find_word(d, Perm.identity(d * d), max_elements=cap),
     ]
@@ -312,6 +332,35 @@ def reference_elements(d):
 @pytest.mark.parametrize("d", range(1, 9))
 def test_group_elements_match_a_per_element_reference(d):
     assert group_elements(d) == reference_elements(d)
+
+
+def test_group_elements_takes_only_d():
+    assert list(inspect.signature(group_elements).parameters) == ["d"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 6])
+def test_group_guard_counts_the_returned_tables(d):
+    assert sum(p.table.nbytes for p in group_elements(d)) == 8 * d * d * sl2_order(d)
+
+
+def test_group_guard_admits_24_and_refuses_every_d_from_25():
+    output_bytes = [8 * d * d * sl2_order(d) for d in range(1, 41)]
+    assert max(output_bytes[:24]) <= KEY_STATE_BUDGET < min(output_bytes[24:])
+    # past 40 the order d**3 * prod(1 - p**-2) is over d**3 / 2 (the
+    # product is at least 6 / pi**2), so the bytes are over 4 * 40**5
+    assert 4 * 40**5 > KEY_STATE_BUDGET
+
+
+@pytest.mark.parametrize("d", [25, 10**9 + 7])
+def test_group_guard_refuses_before_allocating(d):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CostGuardError, match=f"group guard: .* at d = {d} need"):
+            group_elements(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("d", range(2, 13))
@@ -414,7 +463,7 @@ def test_target_met_inside_the_layer_before_the_cap_fires():
 
 
 def test_find_word_size_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="on 9 points does not match d\\*d = 4"):
         find_word(2, Perm.identity(9))
 
 
@@ -760,9 +809,8 @@ def test_search_guard_admits_254_and_refuses_255_without_allocating():
     tracemalloc.start()
     try:
         check_search_guards(254, 254)
-        for search in (enumerate_group, group_elements):
-            with pytest.raises(CostGuardError, match="d = 255 need 67365900 bytes"):
-                search(255, max_dimension=255)
+        with pytest.raises(CostGuardError, match="d = 255 need 67365900 bytes"):
+            enumerate_group(255, max_dimension=255)
         with pytest.raises(CostGuardError, match="d = 255 need"):
             find_word(255, identity, max_dimension=255)
         peak = tracemalloc.get_traced_memory()[1]
