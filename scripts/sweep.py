@@ -88,6 +88,8 @@ def main() -> int:
                         help="certificates only: no search, no census")
     parser.add_argument("--json-out", type=Path, default=None)
     args = parser.parse_args()
+    if args.d_min > args.d_max:
+        parser.error(f"--d-min {args.d_min} exceeds --d-max {args.d_max}: no dimension to sweep")
 
     rows = []
     for d in range(args.d_min, args.d_max + 1):

@@ -44,7 +44,6 @@ from .synthesis import (
     apply_word,
     enumerate_group,
     find_word,
-    group_elements,
     sl2_order,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "apply_word",
     "enumerate_group",
     "find_word",
-    "group_elements",
     "sl2_order",
     "__version__",
 ]

@@ -51,7 +51,8 @@ def basis_index(d: int, m: int, n: int) -> int:
 def basis_digits(d: int, flat: int) -> tuple[int, int]:
     """Digits (m, n) of the flat basis index."""
     d = _check_dimension(d)
-    if _check_integer(flat, "flat index", 0) >= d * d:
+    flat = _check_integer(flat, "flat index", 0)
+    if flat >= d * d:
         raise ValueError(f"flat index {flat} outside 0..{d * d - 1}")
     return divmod(flat, d)
 

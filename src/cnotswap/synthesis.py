@@ -6,9 +6,8 @@ determinant 1.  The search holds the current frontier as faithful keys in
 0 .. d**3 - 1 (int32), steps keys to their children through two d*d-entry
 tables per generator, and records only each element's birth, its position
 among its layer's children, from which its parent and letter follow.  Every
-answer is read off the births: a census from their layer lengths, a word by
-walking them back, and ``group_elements`` by replaying them as products of
-the two CNOT permutations, each element its letter's times its parent's.
+answer is read off the births: a census from their layer lengths and a word
+by walking them back.
 
 The Cayley graph is explored breadth-first: appending a generator to the
 end of a circuit-time word is one edge, so the depth of an element's first
@@ -30,16 +29,15 @@ from enum import Enum
 import numpy as np
 
 from .gates import (
-    GATE_MATRICES, GENERATORS, GateKind, LinearMap2, as_linear_map, gate_perm,
-    _check_dimension, _linear_images,
+    GATE_MATRICES, GENERATORS, GateKind, LinearMap2, as_linear_map, _check_dimension,
+    _linear_images,
 )
 from .perm import CostGuardError, Perm, _check_integer
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
 DEFAULT_MAX_DIMENSION = 31
 # bytes the closure's dense per-call state may take (``_key_state_bytes``):
-# 16.9 MB at d = 160, and d <= 254 fits; also the bytes of the image tables
-# ``group_elements`` returns, 8*d*d per element, where d <= 24 fits
+# 16.9 MB at d = 160, and d <= 254 fits
 KEY_STATE_BUDGET = 64 << 20
 
 
@@ -364,28 +362,6 @@ def enumerate_group(
         return GroupTooLarge(d=d, max_elements=max_elements, elements_found=max_elements)
     counts = tuple(len(births) for births in closure.births[:-1])
     return GroupCensus(d=d, order=sum(counts), diameter=len(counts) - 1, counts_by_depth=counts)
-
-
-def group_elements(d: int) -> list[Perm]:
-    """All group elements in breadth-first order (identity first), each
-    replayed from its birth as its letter's gate times its parent.  Their
-    tables take 8*d*d bytes each; a list over KEY_STATE_BUDGET (d >= 25) is
-    refused before anything is allocated."""
-    d = _check_dimension(d)
-    order = sl2_order(d)
-    if 8 * d * d * order > KEY_STATE_BUDGET:
-        raise CostGuardError(
-            f"group guard: the {order} tables at d = {d} need {8 * d * d * order} bytes, "
-            f"over the budget of {KEY_STATE_BUDGET}"
-        )
-    closure = _closure_bfs(d, max_elements=order)
-    gates = [gate_perm(kind, d) for kind in GENERATORS]
-    out = [Perm.identity(d * d)]
-    start = 0
-    for births in closure.births[1:]:
-        parents, start = out[start:], len(out)
-        out.extend(gates[birth % 2] * parents[birth // 2] for birth in births.tolist())
-    return out
 
 
 def find_word(

@@ -16,8 +16,8 @@ from cnotswap.gates import GateKind, as_linear_map, cnot1_perm, cnot2_perm, swap
 from cnotswap.cli import _matrix_rows
 from cnotswap.perm import Perm, exact_determinant
 from cnotswap.feasibility import swap_signature_formula
-from cnotswap.synthesis import group_elements
 
+from group_reference import reference_elements
 from qutrit_tables import CNOT1_MATRIX_D3, CNOT2_MATRIX_D3, SWAP_MATRIX_D3
 
 C1, C2 = GateKind.CNOT1, GateKind.CNOT2
@@ -148,7 +148,7 @@ def test_criterion_07_qutrit_unreachable_by_exhaustion(run_cli):
 def test_criterion_08_structural_linear_map_oracle():
     with budget(10.0, "criterion 8: all group elements linear with det 1"):
         for d in (2, 3, 4, 5):
-            for p in group_elements(d):
+            for p in reference_elements(d):
                 lm = as_linear_map(p, d)
                 assert lm is not None, f"nonlinear element at d={d}: {p}"
                 assert lm.determinant() == 1 % d

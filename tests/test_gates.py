@@ -21,6 +21,7 @@ from cnotswap.feasibility import decide
 from cnotswap.perm import CostGuardError, Perm
 from cnotswap.synthesis import check_search_guards, enumerate_group, find_word, sl2_order
 
+from group_reference import reference_elements
 from qutrit_tables import (
     CNOT1_IMAGE_D2,
     CNOT1_IMAGE_D3,
@@ -39,6 +40,13 @@ def test_basis_index_round_trip():
             for n in range(d):
                 assert basis_digits(d, basis_index(d, m, n)) == (m, n)
     assert basis_index(3, 2, 1) == 7
+    # numpy inputs give plain ints: basis_digits(3, np.int64(4)) returned
+    # (np.int64(1), np.int64(1)), and a np.uint8 index gave np.uint8 digits
+    for kind in (np.int64, np.uint8, np.int32, np.uint64):
+        digits = basis_digits(kind(3), kind(4))
+        assert digits == (1, 1) and all(type(x) is int for x in digits)
+        flat = basis_index(kind(3), kind(1), kind(1))
+        assert flat == 4 and type(flat) is int
 
 
 def test_basis_index_validation():
@@ -301,9 +309,7 @@ def test_linear_map_recovery_matches_a_per_point_check(d):
     # every group element, and each of them with its last two images swapped;
     # for d >= 3 that keeps the images of (1, 0) and (0, 1), so the change is
     # caught only at the end of the table
-    from cnotswap.synthesis import group_elements
-
-    for g in group_elements(d):
+    for g in reference_elements(d):
         assert per_point_linear_map(g, d) is not None
         assert as_linear_map(g, d) == per_point_linear_map(g, d)
         if d > 1:

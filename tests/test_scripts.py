@@ -130,3 +130,11 @@ def test_scripts_refuse_a_non_positive_integer_as_a_usage_error(script, argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "must be a positive integer" in proc.stderr
+
+
+def test_sweep_refuses_a_reversed_range_as_a_usage_error():
+    # it printed an empty table and "all orders match" and exited 0
+    proc = run_sweep("--d-min", "5", "--d-max", "3")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "--d-min 5 exceeds --d-max 3" in proc.stderr

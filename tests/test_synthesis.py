@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import random
 import tracemalloc
@@ -32,9 +31,10 @@ from cnotswap.synthesis import (
     check_search_guards,
     enumerate_group,
     find_word,
-    group_elements,
     sl2_order,
 )
+
+from group_reference import reference_elements
 
 C1, C2 = GateKind.CNOT1, GateKind.CNOT2
 
@@ -305,70 +305,12 @@ def test_dimension_guard_is_overridable():
     assert enumerate_group(5, max_dimension=5).order == 120
 
 
-def test_group_elements_bfs_order():
-    elems = group_elements(2)
-    assert len(elems) == 6
-    assert elems[0] == Perm.identity(4)
-    assert elems[1] == cnot1_perm(2)
-    assert elems[2] == cnot2_perm(2)
-    assert swap_perm(2) in elems
-
-
-def reference_elements(d):
-    """Independent oracle: the group in one-at-a-time breadth-first insertion
-    order over image tables, CNOT1 before CNOT2."""
-    gens = [cnot1_perm(d), cnot2_perm(d)]
-    elems = [Perm.identity(d * d)]
-    seen = set(elems)
-    for parent in elems:  # the list grows behind the loop: a queue
-        for gate in gens:
-            child = gate * parent
-            if child not in seen:
-                seen.add(child)
-                elems.append(child)
-    return elems
-
-
-@pytest.mark.parametrize("d", range(1, 9))
-def test_group_elements_match_a_per_element_reference(d):
-    assert group_elements(d) == reference_elements(d)
-
-
-def test_group_elements_takes_only_d():
-    assert list(inspect.signature(group_elements).parameters) == ["d"]
-
-
-@pytest.mark.parametrize("d", [1, 2, 5, 6])
-def test_group_guard_counts_the_returned_tables(d):
-    assert sum(p.table.nbytes for p in group_elements(d)) == 8 * d * d * sl2_order(d)
-
-
-def test_group_guard_admits_24_and_refuses_every_d_from_25():
-    output_bytes = [8 * d * d * sl2_order(d) for d in range(1, 41)]
-    assert max(output_bytes[:24]) <= KEY_STATE_BUDGET < min(output_bytes[24:])
-    # past 40 the order d**3 * prod(1 - p**-2) is over d**3 / 2 (the
-    # product is at least 6 / pi**2), so the bytes are over 4 * 40**5
-    assert 4 * 40**5 > KEY_STATE_BUDGET
-
-
-@pytest.mark.parametrize("d", [25, 10**9 + 7])
-def test_group_guard_refuses_before_allocating(d):
-    tracemalloc.start()
-    try:
-        with pytest.raises(CostGuardError, match=f"group guard: .* at d = {d} need"):
-            group_elements(d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
 @pytest.mark.parametrize("d", range(2, 13))
 def test_no_three_entries_identify_a_group_element(d):
     # det = 1 does not fix the fourth entry: with a = 0 it reads -bc = 1
     # and leaves e free (likewise for each other entry), so a compact
     # visited key must keep all four entries or prove itself faithful
-    entries = [astuple(as_linear_map(p, d))[1:] for p in group_elements(d)]
+    entries = [astuple(as_linear_map(p, d))[1:] for p in reference_elements(d)]
     assert len(set(entries)) == len(entries) == sl2_order(d)
     for kept in itertools.combinations(range(4), 3):
         keys = {tuple(x[i] for i in kept) for x in entries}
@@ -377,7 +319,7 @@ def test_no_three_entries_identify_a_group_element(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_every_element_is_linear_with_unit_determinant(d):
-    for p in group_elements(d):
+    for p in reference_elements(d):
         lm = as_linear_map(p, d)
         assert lm is not None
         assert lm.determinant() == 1 % d
@@ -385,7 +327,7 @@ def test_every_element_is_linear_with_unit_determinant(d):
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_every_element_is_even_for_odd_dimensions(d):
-    for p in group_elements(d):
+    for p in reference_elements(d):
         assert p.signature() == 1
 
 
@@ -492,7 +434,7 @@ def test_qubit_depths_match_brute_force():
 def test_found_words_are_lexicographically_least():
     # recompute the least witness of every element by brute force
     for d in range(2, 7):
-        elems = group_elements(d)
+        elems = reference_elements(d)
         least = brute_force_least_words(d, len(elems))
         assert set(least) == set(elems)
         for p in elems:
@@ -505,7 +447,7 @@ def test_found_words_are_lexicographically_least():
 def test_matrix_search_matches_image_table_reference(d):
     census = reference_search(d)
     assert enumerate_group(d) == census
-    elems = group_elements(d)
+    elems = reference_elements(d)
     odd = Perm([1, 0] + list(range(2, d * d))) if d > 1 else Perm([0])
     targets = [swap_perm(d), odd] + elems[:: max(1, census.order // 8)]
     depth_caps = sorted({0, 1, census.diameter // 2, census.diameter})
@@ -527,7 +469,7 @@ def test_capped_searches_are_true_whenever_conclusive():
     # a depth cap may leave a search inconclusive, but every conclusive
     # answer must be independently true
     for d in (2, 3):
-        elems = group_elements(d)
+        elems = reference_elements(d)
         true_dist = {}
         for p in elems:
             true_dist[p] = len(find_word(d, p).word.letters)
