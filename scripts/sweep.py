@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cnotswap.cli import _positive_int
 from cnotswap.feasibility import decide
-from cnotswap.gates import GATE_MATRICES, GateKind, LinearMap2, swap_perm
+from cnotswap.gates import GATE_MATRICES, GateKind, _determinant, swap_perm
 from cnotswap.perm import CostGuardError
 from cnotswap.synthesis import SearchOutcome, enumerate_group, find_word, sl2_order
 
@@ -33,7 +33,7 @@ from cnotswap.synthesis import SearchOutcome, enumerate_group, find_word, sl2_or
 def sweep_row(d: int, max_elements: int, skip_search: bool) -> dict:
     """The row of d; the parity guard raises CostGuardError."""
     decision = decide(d)
-    det_swap = LinearMap2(d, *GATE_MATRICES[GateKind.SWAP]).determinant()
+    det_swap = _determinant(d, GATE_MATRICES[GateKind.SWAP])
     row = {
         "d": d,
         "d_mod_4": decision.report.d_mod_4,

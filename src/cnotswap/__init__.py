@@ -18,7 +18,6 @@ from .perm import (
 from .gates import (
     GENERATORS,
     GateKind,
-    LinearMap2,
     as_linear_map,
     basis_digits,
     basis_index,
@@ -54,7 +53,6 @@ __all__ = [
     "exact_determinant",
     "GENERATORS",
     "GateKind",
-    "LinearMap2",
     "as_linear_map",
     "basis_digits",
     "basis_index",

@@ -3,14 +3,15 @@
 Basis states (m, n) are flattened row-major as d*m + n, with m the digit of
 the first system.  CNOT1 adds the first digit into the second mod d, CNOT2
 adds the second into the first, SWAP exchanges the digits.  Each gate is a
-2x2 matrix over Z_d acting on digit pairs (``GATE_MATRICES``), and
-``_linear_images`` is the one routine that turns a matrix into the image
-table of its permutation; the gates live here as ``Perm`` objects.
+2x2 matrix over Z_d acting on digit pairs, held as the tuple (a, b, c, e)
+of ints (``GATE_MATRICES``); ``_product`` and ``_determinant`` are its
+arithmetic mod d, and ``_linear_images`` is the one routine that turns a
+matrix into the image table of its permutation; the gates live here as
+``Perm`` objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -57,6 +58,19 @@ def basis_digits(d: int, flat: int) -> tuple[int, int]:
     return divmod(flat, d)
 
 
+def _product(d: int, g, m):
+    """The product g*m mod d of two matrices (a, b, c, e) of ints."""
+    p, q, r, s = g
+    a, b, c, e = m
+    return (p * a + q * c) % d, (p * b + q * e) % d, (r * a + s * c) % d, (r * b + s * e) % d
+
+
+def _determinant(d: int, matrix) -> int:
+    """The determinant mod d of a matrix (a, b, c, e) of ints."""
+    a, b, c, e = matrix
+    return (a * e - b * c) % d
+
+
 def _linear_images(d: int, a, b, c, e) -> np.ndarray:
     """Image table of (m, n) -> (a*m + b*n, c*m + e*n) mod d, shape (d, d).
 
@@ -100,25 +114,9 @@ def swap_perm(d: int) -> Perm:
     return gate_perm(GateKind.SWAP, d)
 
 
-@dataclass(frozen=True)
-class LinearMap2:
-    """The map (m, n) -> (a*m + b*n, c*m + e*n) mod d on digit pairs."""
-
-    d: int
-    a: int
-    b: int
-    c: int
-    e: int
-
-    def apply(self, m: int, n: int) -> tuple[int, int]:
-        return (self.a * m + self.b * n) % self.d, (self.c * m + self.e * n) % self.d
-
-    def determinant(self) -> int:
-        return (self.a * self.e - self.b * self.c) % self.d
-
-
-def as_linear_map(p: Perm, d: int) -> LinearMap2 | None:
-    """Recover the 2x2 table over Z_d realizing p, or None if p is not linear.
+def as_linear_map(p: Perm, d: int) -> tuple[int, int, int, int] | None:
+    """Recover the matrix (a, b, c, e) over Z_d realizing p, or None if p is
+    not linear.
 
     Candidate columns are read off the images of (1, 0) and (0, 1); the
     candidate is accepted only if it reproduces p on every basis state.
@@ -131,5 +129,5 @@ def as_linear_map(p: Perm, d: int) -> LinearMap2 | None:
         return None
     a, c = basis_digits(d, p(basis_index(d, 1 % d, 0)))
     b, e = basis_digits(d, p(basis_index(d, 0, 1 % d)))
-    candidate = LinearMap2(d, a, b, c, e)
-    return candidate if np.array_equal(_linear_images(d, a, b, c, e).ravel(), p.table) else None
+    linear = np.array_equal(_linear_images(d, a, b, c, e).ravel(), p.table)
+    return (a, b, c, e) if linear else None

@@ -29,8 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .gates import (
-    GATE_MATRICES, GENERATORS, GateKind, LinearMap2, as_linear_map, _check_dimension,
-    _linear_images,
+    GATE_MATRICES, GENERATORS, GateKind, as_linear_map, _check_dimension, _determinant,
+    _linear_images, _product,
 )
 from .perm import CostGuardError, Perm, _check_integer
 
@@ -50,6 +50,7 @@ class GateWord:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _check_dimension(self.d))
+        object.__setattr__(self, "letters", tuple(self.letters))
         for letter in self.letters:
             if letter not in GENERATORS:
                 raise ValueError(f"{letter} is not a generator gate")
@@ -102,13 +103,6 @@ def apply_word(word: GateWord) -> Perm:
     for letter in word.letters:
         matrix = _product(d, GATE_MATRICES[letter], matrix)
     return Perm(_linear_images(d, *matrix).ravel())
-
-
-def _product(d: int, g, m):
-    """The product g*m mod d of two matrices (a, b, c, e) of ints."""
-    p, q, r, s = g
-    a, b, c, e = m
-    return (p * a + q * c) % d, (p * b + q * e) % d, (r * a + s * c) % d, (r * b + s * e) % d
 
 
 @dataclass
@@ -216,11 +210,11 @@ def _closure_bfs(
     *,
     max_elements: int,
     max_depth: int | None = None,
-    target: LinearMap2 | None = None,
+    target: tuple[int, int, int, int] | None = None,
 ) -> _Closure:
     """Deterministic breadth-first closure over {CNOT1, CNOT2}.
 
-    An element, the 2x2 matrix (a, b, c, e) over Z_d in the ``LinearMap2``
+    An element, the 2x2 matrix (a, b, c, e) over Z_d in the ``GATE_MATRICES``
     convention, is held as its int32 key f*d + t from ``_keys``: its first
     column f = a*d + c and the offset t of its second column from s0(f).
     The key is faithful on SL(2, Z_d), so it is the element, and
@@ -250,8 +244,9 @@ def _closure_bfs(
     step1, step2 = _step_tables(d, bezout)
     ident = np.array([_keys(d, bezout, 1 % d * d, 1 % d)], dtype=np.int32)
     target_key = None
-    if target is not None and target.determinant() == 1 % d:
-        target_key = int(_keys(d, bezout, target.a * d + target.c, target.b * d + target.e))
+    if target is not None and _determinant(d, target) == 1 % d:
+        a, b, c, e = target
+        target_key = int(_keys(d, bezout, a * d + c, b * d + e))
     del bezout  # before owner exists, as _key_state_bytes counts
     # per key: _UNSEEN, _VISITED, or within a layer the index i >= 0 of the
     # frontier element whose CNOT1 child claims it

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cnotswap.gates import (
+    GATE_MATRICES,
     GENERATORS,
     GateKind,
-    LinearMap2,
+    _determinant,
     as_linear_map,
     basis_digits,
     basis_index,
@@ -18,7 +19,7 @@ from cnotswap.gates import (
     swap_perm,
 )
 from cnotswap.feasibility import decide
-from cnotswap.perm import CostGuardError, Perm
+from cnotswap.perm import CostGuardError, Perm, exact_determinant
 from cnotswap.synthesis import check_search_guards, enumerate_group, find_word, sl2_order
 
 from group_reference import reference_elements
@@ -110,6 +111,10 @@ def test_numpy_integer_dimensions_act_as_plain_ints(kind):
     # numpy integers compare equal to ints, so the types are checked apart
     assert {type(v) for v in astuple(report)} == {int}
     assert {type(found.word.d), type(census.d), type(census.order), type(census.diameter)} == {int}
+    # the matrix as_linear_map recovers is a tuple of plain ints too
+    matrix = as_linear_map(cnot2_perm(d), d)
+    assert type(matrix) is tuple and matrix == (1, 1, 0, 1)
+    assert {type(x) for x in matrix} == {int}
     # a uint16 d**3 wrapped, and the key-state budget let d = 300 through
     with pytest.raises(CostGuardError, match="d = 300 need 109440000 bytes"):
         check_search_guards(kind(300), 300)
@@ -265,17 +270,24 @@ def test_generators_and_swap_are_linear(d):
     ms = as_linear_map(swap_perm(d), d)
     assert m1 is not None and m2 is not None and ms is not None
     if d > 1:
-        assert (m1.a, m1.b, m1.c, m1.e) == (1, 0, 1, 1)
-        assert (m2.a, m2.b, m2.c, m2.e) == (1, 1, 0, 1)
-        assert (ms.a, ms.b, ms.c, ms.e) == (0, 1, 1, 0)
-    assert m1.determinant() == 1 % d
-    assert m2.determinant() == 1 % d
-    assert ms.determinant() == (d - 1) % d
+        assert m1 == (1, 0, 1, 1)
+        assert m2 == (1, 1, 0, 1)
+        assert ms == (0, 1, 1, 0)
+    assert _determinant(d, m1) == 1 % d
+    assert _determinant(d, m2) == 1 % d
+    assert _determinant(d, ms) == (d - 1) % d
 
 
-def test_linear_map_apply():
-    m = LinearMap2(d=5, a=1, b=0, c=1, e=1)
-    assert m.apply(3, 4) == (3, 2)
+@pytest.mark.parametrize("d", range(1, 32))
+def test_determinant_matches_bareiss(d):
+    # the one 2x2 determinant over Z_d against the exact integer one, on
+    # entries that need reducing, negative ones included
+    rng = np.random.default_rng(d)
+    for a, b, c, e in rng.integers(-5 * d, 5 * d + 1, size=(40, 4)).tolist():
+        assert _determinant(d, (a, b, c, e)) == exact_determinant([[a, b], [c, e]]) % d
+    assert _determinant(d, GATE_MATRICES[GateKind.SWAP]) == (d - 1) % d
+    for kind in GENERATORS:
+        assert _determinant(d, GATE_MATRICES[kind]) == 1 % d
 
 
 def test_origin_mover_is_not_linear():
@@ -294,14 +306,14 @@ def per_point_linear_map(p, d):
     if p(0) != 0:
         return None
     if d == 1:
-        return LinearMap2(1, 0, 0, 0, 0)
+        return (0, 0, 0, 0)
     a, c = divmod(p(1 * d), d)
     b, e = divmod(p(1), d)
-    candidate = LinearMap2(d, a, b, c, e)
     for flat in range(d * d):
-        if basis_index(d, *candidate.apply(*divmod(flat, d))) != p(flat):
+        m, n = divmod(flat, d)
+        if basis_index(d, (a * m + b * n) % d, (c * m + e * n) % d) != p(flat):
             return None
-    return candidate
+    return a, b, c, e
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from cnotswap.feasibility import Verdict
-from cnotswap.gates import GateKind, LinearMap2
+from cnotswap.gates import GateKind
 from cnotswap.synthesis import GateWord
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,7 +34,7 @@ def test_readme_library_block_runs():
         Verdict.INFEASIBLE_BY_PARITY,
         GateWord(d=2, letters=(c1, c2, c1)),
         24,
-        LinearMap2(d=5, a=0, b=1, c=1, e=0),
+        (0, 1, 1, 0),
     ]
 
 

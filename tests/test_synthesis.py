@@ -1,15 +1,15 @@
 import itertools
 import random
 import tracemalloc
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 import pytest
 
 from cnotswap.gates import (
-    GATE_MATRICES, GENERATORS, GateKind, LinearMap2, as_linear_map, cnot1_perm, cnot2_perm,
-    swap_perm, _linear_images,
+    GATE_MATRICES, GENERATORS, GateKind, as_linear_map, cnot1_perm, cnot2_perm, swap_perm,
+    _determinant, _linear_images,
 )
 from cnotswap.perm import CostGuardError, Perm
 from cnotswap.synthesis import (
@@ -158,6 +158,15 @@ def test_apply_word_matches_explicit_fold():
 def test_word_rejects_non_generator_letters():
     with pytest.raises(ValueError):
         GateWord(d=2, letters=(GateKind.SWAP,))
+
+
+def test_word_stores_its_letters_as_a_tuple():
+    # a list of letters left the frozen word unhashable and unequal to the
+    # same word built from a tuple
+    listed = GateWord(d=2, letters=[C1, C2])
+    assert listed.letters == (C1, C2) and type(listed.letters) is tuple
+    assert listed == GateWord(d=2, letters=(C1, C2))
+    assert hash(listed) == hash(GateWord(d=2, letters=(C1, C2)))
 
 
 def test_word_rejects_dimension_zero():
@@ -310,7 +319,7 @@ def test_no_three_entries_identify_a_group_element(d):
     # det = 1 does not fix the fourth entry: with a = 0 it reads -bc = 1
     # and leaves e free (likewise for each other entry), so a compact
     # visited key must keep all four entries or prove itself faithful
-    entries = [astuple(as_linear_map(p, d))[1:] for p in reference_elements(d)]
+    entries = [as_linear_map(p, d) for p in reference_elements(d)]
     assert len(set(entries)) == len(entries) == sl2_order(d)
     for kept in itertools.combinations(range(4), 3):
         keys = {tuple(x[i] for i in kept) for x in entries}
@@ -322,7 +331,7 @@ def test_every_element_is_linear_with_unit_determinant(d):
     for p in reference_elements(d):
         lm = as_linear_map(p, d)
         assert lm is not None
-        assert lm.determinant() == 1 % d
+        assert _determinant(d, lm) == 1 % d
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -523,7 +532,8 @@ def d4_key_closure(d, *, max_elements, max_depth=None, target=None):
 
     target_key = None
     if target is not None:
-        target_key = ((target.a * d + target.b) * d + target.c) * d + target.e
+        a, b, c, e = target
+        target_key = ((a * d + b) * d + c) * d + e
         if visited[target_key]:
             return RefClosure("found", size, layers, parents, letters, counts, found_index=0)
 
@@ -608,8 +618,8 @@ def assert_same_closure(got, ref):
     assert np.array_equal(np.concatenate(letters), np.concatenate(ref.letters))
 
 
-def linear_perm(lm):
-    return Perm(_linear_images(lm.d, lm.a, lm.b, lm.c, lm.e).ravel())
+def linear_perm(d, matrix):
+    return Perm(_linear_images(d, *matrix).ravel())
 
 
 @pytest.mark.parametrize("d", range(1, 17))
@@ -617,8 +627,8 @@ def test_kernel_matches_the_d4_key_reference(d):
     full = d4_key_closure(d, max_elements=DEFAULT_MAX_ELEMENTS)
     assert_same_closure(_closure_bfs(d, max_elements=DEFAULT_MAX_ELEMENTS), full)
     order, diameter = full.size, len(full.counts_by_depth) - 1
-    elements = [LinearMap2(d, *row) for row in np.concatenate(full.layers).tolist()]
-    targets = [None, as_linear_map(swap_perm(d), d), LinearMap2(d, 1 % d, 0, 0, -1 % d)]
+    elements = [tuple(row) for row in np.concatenate(full.layers).tolist()]
+    targets = [None, as_linear_map(swap_perm(d), d), (1 % d, 0, 0, -1 % d)]
     targets += elements[:: max(1, order // 6)] + elements[-1:]
     element_caps = {1, order - 1, order, order + 1} | {k for dd, k in MID_LAYER_CAPS if dd == d}
     element_caps.discard(0)  # refused below 1 (test_searches_reject_an_element_cap_below_one)
@@ -707,11 +717,11 @@ def test_targets_of_another_determinant_exhaust_the_group(d):
     # met; diag(1, -1) shares its key with the identity and [[1, 1], [0, -1]]
     # with CNOT2, so only the determinant check keeps them apart
     bezout = _bezout_table(d)
-    negate = LinearMap2(d, 1, 0, 0, d - 1)
-    cnot2_twin = LinearMap2(d, 1, 1, 0, d - 1)
+    negate = (1, 0, 0, d - 1)
+    cnot2_twin = (1, 1, 0, d - 1)
     assert _keys(d, bezout, d, d - 1) == _keys(d, bezout, d, 1)
     assert _keys(d, bezout, d, 2 * d - 1) == _keys(d, bezout, d, d + 1)
-    for target in (swap_perm(d), linear_perm(negate), linear_perm(cnot2_twin)):
+    for target in (swap_perm(d), linear_perm(d, negate), linear_perm(d, cnot2_twin)):
         result = find_word(d, target)
         assert result.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED
         assert result.group_order == sl2_order(d)
@@ -730,14 +740,15 @@ def test_search_finds_a_deep_word_at_d182():
             p, q, r, s = gens[letter]
             a, b, c, e = ((p * a + q * c) % d, (p * b + q * e) % d,
                           (r * a + s * c) % d, (r * b + s * e) % d)
-        return LinearMap2(d, a, b, c, e)
+        return a, b, c, e
 
     target = matrix_of(letters)
-    result = find_word(d, linear_perm(target), max_depth=len(letters), max_dimension=d)
+    result = find_word(d, linear_perm(d, target), max_depth=len(letters), max_dimension=d)
     assert result.outcome is SearchOutcome.FOUND
     assert len(result.word) <= len(letters)
     assert matrix_of(result.word.letters) == target
-    shorter = find_word(d, linear_perm(target), max_depth=len(result.word) - 1, max_dimension=d)
+    shorter = find_word(d, linear_perm(d, target), max_depth=len(result.word) - 1,
+                        max_dimension=d)
     assert shorter.outcome is SearchOutcome.DEPTH_LIMIT
 
 
