@@ -9,12 +9,7 @@ word or certifies unreachability by enumerating the whole generated group.
 
 __version__ = "0.1.0"
 
-from .perm import (
-    CostGuardError,
-    CycleType,
-    Perm,
-    exact_determinant,
-)
+from .perm import CostGuardError, Perm
 from .gates import (
     GENERATORS,
     GateKind,
@@ -48,9 +43,7 @@ from .synthesis import (
 
 __all__ = [
     "CostGuardError",
-    "CycleType",
     "Perm",
-    "exact_determinant",
     "GENERATORS",
     "GateKind",
     "as_linear_map",

@@ -4,21 +4,15 @@ Permutations are stored as image tables: ``image[i]`` is where point ``i``
 goes, held as one read-only int64 numpy array so every operation runs as
 whole-array arithmetic.  Composition follows the convention
 (p * q)(i) = p(q(i)), i.e. the right factor acts first.  Everything here is
-exact integer arithmetic; the determinant routine deliberately avoids the
-parity shortcut so it can serve as an independent cross-check of
-``signature`` on the matrix rows the CLI prints.
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
-
-CycleType = tuple[int, ...]
-
-DETERMINANT_SIZE_LIMIT = 256
 
 
 class CostGuardError(ValueError):
@@ -93,10 +87,6 @@ class Perm:
         return cls(np.arange(_check_integer(n, "size", 1)))
 
     @property
-    def image(self) -> tuple[int, ...]:
-        return tuple(self._image.tolist())
-
-    @property
     def table(self) -> np.ndarray:
         """The image table itself, as a read-only int64 array (no copy)."""
         return self._image
@@ -106,9 +96,6 @@ class Perm:
 
     def __call__(self, point: int) -> int:
         return int(self._image[point])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._image.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Perm):
@@ -136,27 +123,6 @@ class Perm:
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self._image == np.arange(len(self._image))).tolist())
-
-    def cycles(self) -> list[list[int]]:
-        """Disjoint cycles covering all points, fixed points included.
-
-        Canonical form: each cycle starts at its minimal point and cycles
-        are sorted by starting point (scanning points in order gives both).
-        """
-        img = self._image.tolist()
-        visited = bytearray(len(img))
-        out: list[list[int]] = []
-        for start in range(len(img)):
-            if visited[start]:
-                continue
-            cycle = []
-            j = start
-            while not visited[j]:
-                visited[j] = 1
-                cycle.append(j)
-                j = img[j]
-            out.append(cycle)
-        return out
 
     def _sorted_cycle_lengths(self) -> np.ndarray:
         """Cycle lengths, ascending; computed once per (immutable) instance.
@@ -190,7 +156,7 @@ class Perm:
             self._cycle_lengths = np.sort(np.bincount(label)[roots])
         return self._cycle_lengths
 
-    def cycle_type(self) -> CycleType:
+    def cycle_type(self) -> tuple[int, ...]:
         """Multiset of cycle lengths, ascending, summing to n."""
         return tuple(self._sorted_cycle_lengths().tolist())
 
@@ -202,44 +168,3 @@ class Perm:
         """
         return -1 if (len(self._image) - len(self._sorted_cycle_lengths())) % 2 else 1
 
-
-def exact_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix, given as its rows, by
-    fraction-free (Bareiss) elimination.
-
-    Runs general integer elimination rather than reading a sign off any
-    permutation structure, so on the rows of a permutation matrix it stays
-    an independent oracle for ``Perm.signature``.  Guarded to
-    DETERMINANT_SIZE_LIMIT rows, checked before the rows are copied,
-    because the cost is cubic.
-    """
-    n = len(rows)
-    if n > DETERMINANT_SIZE_LIMIT:
-        raise CostGuardError(f"determinant guard: {n} > {DETERMINANT_SIZE_LIMIT} rows")
-    a = [list(row) for row in rows]
-    if n == 0:
-        raise ValueError("empty matrix")
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    bad = next((v for row in a for v in row if type(v) is not int), None)
-    if bad is not None:
-        raise ValueError(f"entry {bad!r} is not an int")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]

@@ -1,12 +1,23 @@
-"""The package's public surface: its exports and its console script."""
+"""The package's public surface: its exports, its console script, and the
+names the benchmark harness in ``bench/`` calls and wraps."""
 
 import importlib
 import tomllib
 from pathlib import Path
 
 import cnotswap
+import cnotswap.cli  # noqa: F401  build_tracers reads the submodules as attributes
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+
+EXPORTS = [
+    "CostGuardError", "Decision", "GENERATORS", "GateKind", "GateWord", "GroupCensus",
+    "GroupTooLarge", "ParityReport", "Perm", "SearchOutcome", "SynthesisResult", "Verdict",
+    "__version__", "apply_word", "as_linear_map", "basis_digits", "basis_index", "cnot1_perm",
+    "cnot2_perm", "decide", "enumerate_group", "find_word", "gate_perm", "parity_report",
+    "sl2_order", "swap_perm", "swap_signature_formula",
+]
 
 
 def test_exports_resolve_and_the_console_script_is_callable():
@@ -18,3 +29,34 @@ def test_exports_resolve_and_the_console_script_is_callable():
     assert scripts == {"cnotswap": "cnotswap.cli:main"}
     module, _, attr = scripts["cnotswap"].partition(":")
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_exports_are_exactly_the_public_list():
+    # adding or removing an export has to be an edit here as well
+    assert sorted(cnotswap.__all__) == EXPORTS
+
+
+def test_the_benchmark_child_wraps_and_calls_what_exists(monkeypatch):
+    # bench/child.py wraps these attributes for --trace 1 and calls
+    # find_word(d, Perm(list), max_dimension=...) for the library workload
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    child = importlib.import_module("child")
+    tracer, alloc = child.build_tracers(cnotswap)
+    patched = {(owner.__name__, attr) for owner, attr, _, _ in tracer.installed}
+    assert patched == {
+        ("cnotswap.cli", name)
+        for name in ("main", "find_word", "enumerate_group", "decide", "gate_perm", "swap_perm")
+    } | {
+        ("cnotswap.feasibility", name) for name in ("cnot1_perm", "cnot2_perm", "swap_perm")
+    } | {("cnotswap.synthesis", "find_word"), ("Perm", "signature"), ("Perm", "cycle_type")}
+    assert {(owner.__name__, attr) for owner, attr, _, _ in alloc.installed} == {
+        ("cnotswap.cli", "find_word"), ("cnotswap.cli", "enumerate_group"),
+        ("cnotswap.synthesis", "find_word"),
+    }
+
+    # the matrix of CNOT2 then CNOT1, in circuit time; answer_library builds
+    # its Perm from a list table
+    request = {"d": 16, "target": [1, 1, 1, 2], "max_dimension": 40}
+    response, _ = child.answer_with(tracer, cnotswap, request)
+    assert response == {"outcome": "FOUND", "word": ["CNOT2", "CNOT1"]}
+    assert [span[0] for span in tracer.spans] == ["synthesis.search"]
