@@ -9,6 +9,11 @@ among its layer's children, from which its parent and letter follow.  Every
 answer is read off the births: a census from their layer lengths and a word
 by walking them back.
 
+The step tables depend on d alone, so they are built on the first search at
+d and kept read-only for the rest of the process, least recently used first
+out once they would take over TABLE_CACHE_BUDGET bytes.  Each search
+allocates only its own membership array (``owner``), frontier and births.
+
 The Cayley graph is explored breadth-first: appending a generator to the
 end of a circuit-time word is one edge, so the depth of an element's first
 visit is its shortest word length.  Expanding parents in insertion order
@@ -23,8 +28,11 @@ A search truncated by a depth or element cap reports DEPTH_LIMIT instead.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 
 import numpy as np
 
@@ -36,9 +44,12 @@ from .perm import CostGuardError, Perm, _check_integer
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
 DEFAULT_MAX_DIMENSION = 31
-# bytes the closure's dense per-call state may take (``_key_state_bytes``):
+# bytes a search's dense state may take (``_key_state_bytes``):
 # 16.9 MB at d = 160, and d <= 254 fits
 KEY_STATE_BUDGET = 64 << 20
+# bytes of step tables kept between searches (``_search_tables``): every
+# d in [16, 40] together take 0.33 MB, and d = 254 alone 1.03 MB
+TABLE_CACHE_BUDGET = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -116,11 +127,17 @@ class _Closure:
     births: list[np.ndarray]
 
 
+def _table_bytes(d: int) -> int:
+    """Bytes of the step tables at d: two int32 d*d-entry tables per generator."""
+    return 2 * len(GENERATORS) * 4 * d * d
+
+
 def _key_state_bytes(d: int) -> int:
-    """Bytes of the closure's dense per-call state: the int32 owner of every
-    d**3 key and two int32 step tables per generator.  The int64 Bézout pair
-    that builds the tables is freed before ``owner`` is allocated."""
-    return 4 * d**3 + 2 * len(GENERATORS) * 4 * d * d
+    """Bytes of a search's dense state at d: the int32 ``owner`` of every
+    d**3 key, allocated per call, and the step tables, built once per process
+    (``_search_tables``).  The int64 Bézout pair that builds the tables is
+    freed once they are built."""
+    return 4 * d**3 + _table_bytes(d)
 
 
 def _bezout_table(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +166,21 @@ def _bezout_table(d: int) -> tuple[np.ndarray, np.ndarray]:
         open_codes = open_codes[~unit]
         k += 1
     return x, y
+
+
+def _bezout_pair(d: int, u: int, v: int) -> tuple[int, int]:
+    """``_bezout_table``'s (x, y) at the unimodular column (u, v), by its
+    rule: the least k >= 0 with w = u + k*v a unit gives (w^-1, k*w^-1)."""
+    k = next(k for k in range(d) if gcd(u + k * v, d) == 1)
+    x = pow(u + k * v, -1, d)
+    return x, k * x % d
+
+
+def _key(d: int, matrix: tuple[int, int, int, int]) -> int:
+    """``_keys`` of one det-1 matrix (a, b, c, e) with entries in 0 .. d - 1."""
+    a, b, c, e = matrix
+    x, y = _bezout_pair(d, a, c)
+    return (a * d + c) * d + (x * b + y * e) % d
 
 
 def _keys(d: int, bezout: tuple[np.ndarray, np.ndarray], first, second):
@@ -202,6 +234,33 @@ def _step(d: int, table: tuple[np.ndarray, np.ndarray], first, t) -> np.ndarray:
     return child
 
 
+# d -> its two generators' step tables, least recently used first
+_TABLES: OrderedDict[int, list[tuple[np.ndarray, ...]]] = OrderedDict()
+_TABLES_LOCK = threading.Lock()
+
+
+def _search_tables(d: int) -> list[tuple[np.ndarray, ...]]:
+    """``_step_tables`` at d, read-only and shared by every search at d.
+
+    Built on the first call at d and kept while all kept tables take at most
+    TABLE_CACHE_BUDGET bytes; the least recently used go first.
+    """
+    size = _table_bytes(d)
+    with _TABLES_LOCK:
+        tables = _TABLES.pop(d, None)
+        if tables is None:
+            tables = _step_tables(d, _bezout_table(d))
+            for table in tables:
+                for array in table:
+                    array.flags.writeable = False
+            if size > TABLE_CACHE_BUDGET:
+                return tables
+            while sum(map(_table_bytes, _TABLES)) + size > TABLE_CACHE_BUDGET:
+                _TABLES.popitem(last=False)
+        _TABLES[d] = tables
+        return tables
+
+
 _UNSEEN, _VISITED = -1, -2
 
 
@@ -240,14 +299,11 @@ def _closure_bfs(
     A depth cap stops before layer ``max_depth`` is expanded; an element cap
     stops when the next layer would take the elements over it.
     """
-    bezout = _bezout_table(d)
-    step1, step2 = _step_tables(d, bezout)
-    ident = np.array([_keys(d, bezout, 1 % d * d, 1 % d)], dtype=np.int32)
+    step1, step2 = _search_tables(d)
+    ident = np.array([_key(d, (1 % d, 0, 0, 1 % d))], dtype=np.int32)
     target_key = None
     if target is not None and _determinant(d, target) == 1 % d:
-        a, b, c, e = target
-        target_key = int(_keys(d, bezout, a * d + c, b * d + e))
-    del bezout  # before owner exists, as _key_state_bytes counts
+        target_key = _key(d, target)
     # per key: _UNSEEN, _VISITED, or within a layer the index i >= 0 of the
     # frontier element whose CNOT1 child claims it
     owner = np.full(d**3, _UNSEEN, dtype=np.int32)

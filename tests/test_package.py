@@ -1,6 +1,7 @@
 """The package's public surface: its exports, its console script, and the
 names the benchmark harness in ``bench/`` calls and wraps."""
 
+import functools
 import importlib
 import tomllib
 from pathlib import Path
@@ -60,3 +61,18 @@ def test_the_benchmark_child_wraps_and_calls_what_exists(monkeypatch):
     response, _ = child.answer_with(tracer, cnotswap, request)
     assert response == {"outcome": "FOUND", "word": ["CNOT2", "CNOT1"]}
     assert [span[0] for span in tracer.spans] == ["synthesis.search"]
+
+
+def test_a_library_benchmark_round_passes_the_bench_oracle(monkeypatch):
+    # round 0 of seed 1: 100 find_word requests over d in [16, 40], answered
+    # one after another in this process, as bench/child.py answers them
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    child = importlib.import_module("child")
+    oracle = importlib.import_module("oracle")
+    workloads = importlib.import_module("workloads")
+    censuses = functools.lru_cache(maxsize=None)(oracle.census)
+    requests = workloads.reachable_words_round(1, 0, censuses)
+    assert len(requests) == 100
+    for request in requests:
+        response, _ = child.answer_library(cnotswap, request)
+        assert workloads.check_word(request, response, censuses) is None, request

@@ -1,6 +1,9 @@
 import itertools
 import random
+import sys
+import threading
 import tracemalloc
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
 
@@ -11,17 +14,22 @@ from cnotswap.gates import (
     GATE_MATRICES, GENERATORS, GateKind, as_linear_map, cnot1_perm, cnot2_perm, swap_perm,
     _determinant, _linear_images,
 )
+from cnotswap import synthesis
 from cnotswap.perm import CostGuardError, Perm
 from cnotswap.synthesis import (
     DEFAULT_MAX_DIMENSION,
     DEFAULT_MAX_ELEMENTS,
     KEY_STATE_BUDGET,
+    TABLE_CACHE_BUDGET,
+    _bezout_pair,
     _bezout_table,
     _closure_bfs,
     _key_state_bytes,
     _keys,
+    _search_tables,
     _step,
     _step_tables,
+    _table_bytes,
     GateWord,
     GroupCensus,
     GroupTooLarge,
@@ -709,6 +717,10 @@ def test_bezout_table_inverts_exactly_the_unimodular_columns(d):
         u, v = divmod(code, d)
         inverted = (x[code] * u + y[code] * v) % d == 1 % d
         assert inverted == (gcd(gcd(u, v), d) == 1)
+        if inverted:
+            # the scalar routine that keys a search's target follows the
+            # table's least-k rule, so target and tables share one key
+            assert _bezout_pair(d, u, v) == (x[code], y[code]), code
 
 
 @pytest.mark.parametrize("d", range(3, 13))
@@ -759,6 +771,7 @@ def test_search_guard_admits_254_and_refuses_255_without_allocating():
     assert _key_state_bytes(64) == 4 * 64**3 + sum(t.nbytes for pair in tables for t in pair)
     assert _key_state_bytes(254) <= KEY_STATE_BUDGET < _key_state_bytes(255)
     identity = Perm.identity(255 * 255)
+    kept = list(synthesis._TABLES)
     tracemalloc.start()
     try:
         check_search_guards(254, 254)
@@ -770,6 +783,7 @@ def test_search_guard_admits_254_and_refuses_255_without_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert list(synthesis._TABLES) == kept  # a refused search builds no tables
 
 
 def test_full_closure_at_d64_stays_small():
@@ -785,3 +799,90 @@ def test_full_closure_at_d64_stays_small():
         tracemalloc.stop()
     assert census.order == sl2_order(64)
     assert peak < 4.5 * 2**20
+
+
+def test_kept_tables_answer_like_fresh_ones(monkeypatch):
+    # every element of the group at each d <= 10, and SWAP, asked in turn
+    # across d: each search against tables kept from every earlier d gives
+    # what the same search gives right after the tables are dropped
+    monkeypatch.setattr(synthesis, "_TABLES", OrderedDict())
+    dims = range(1, 11)
+    by_d = [[(d, target) for target in reference_elements(d) + [swap_perm(d)]] for d in dims]
+    calls = [call for turn in itertools.zip_longest(*by_d) for call in turn if call is not None]
+    fresh = []
+    for d, target in calls:
+        synthesis._TABLES.clear()
+        fresh.append(find_word(d, target))
+    censuses = {}
+    for d in dims:
+        synthesis._TABLES.clear()
+        censuses[d] = enumerate_group(d)
+    for (d, target), want in zip(calls, fresh):
+        assert find_word(d, target) == want, (d, target)
+    assert set(synthesis._TABLES) == set(dims)
+    assert {d: enumerate_group(d) for d in reversed(dims)} == censuses
+    outcomes = {result.outcome for result in fresh}
+    assert outcomes == {SearchOutcome.FOUND, SearchOutcome.UNREACHABLE_EXHAUSTED}
+
+
+def test_kept_tables_are_read_only():
+    find_word(5, swap_perm(5))
+    tables = synthesis._TABLES[5]
+    assert tables is _search_tables(5)
+    for array in (array for table in tables for array in table):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+        with pytest.raises(ValueError):
+            array += 1
+
+
+def test_kept_tables_stay_within_their_budget(monkeypatch):
+    # the real budget keeps every d of the library benchmark and d = 254
+    assert _table_bytes(254) + sum(map(_table_bytes, range(16, 41))) <= TABLE_CACHE_BUDGET
+    monkeypatch.setattr(synthesis, "_TABLES", OrderedDict())
+    budget = _table_bytes(4) + _table_bytes(5) + _table_bytes(6)
+    monkeypatch.setattr(synthesis, "TABLE_CACHE_BUDGET", budget)
+
+    def kept_after(d):
+        find_word(d, swap_perm(d))
+        assert sum(map(_table_bytes, synthesis._TABLES)) <= budget
+        return list(synthesis._TABLES)
+
+    assert [kept_after(d) for d in (4, 5, 6)][-1] == [4, 5, 6]
+    assert kept_after(4) == [5, 6, 4]  # a search at 4 makes it the most recent
+    assert kept_after(7) == [4, 7]  # 5, then 6, go to make room for 7
+    assert kept_after(9) == [4, 7]  # over the budget alone: used, not kept
+    assert kept_after(2) == [4, 7, 2]
+
+
+def test_threads_share_the_kept_tables(monkeypatch):
+    monkeypatch.setattr(synthesis, "_TABLES", OrderedDict())
+    monkeypatch.setattr(synthesis, "TABLE_CACHE_BUDGET", _table_bytes(5) + _table_bytes(6))
+    calls = [(d, target) for d in range(2, 8) for target in (swap_perm(d), cnot1_perm(d))]
+    want = [find_word(d, target) for d, target in calls]
+    failures = []
+
+    def search(seed):
+        order = random.Random(seed).sample(range(len(calls)), len(calls))
+        try:
+            for _ in range(20):
+                for i in order:
+                    if find_word(*calls[i]) != want[i]:
+                        failures.append(calls[i])
+        except Exception as exc:  # reported below, from the test's thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=search, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert sum(map(_table_bytes, synthesis._TABLES)) <= synthesis.TABLE_CACHE_BUDGET
