@@ -14,8 +14,6 @@ from .gates import (
     GENERATORS,
     GateKind,
     as_linear_map,
-    basis_digits,
-    basis_index,
     cnot1_perm,
     cnot2_perm,
     gate_perm,
@@ -47,8 +45,6 @@ __all__ = [
     "GENERATORS",
     "GateKind",
     "as_linear_map",
-    "basis_digits",
-    "basis_index",
     "cnot1_perm",
     "cnot2_perm",
     "gate_perm",

@@ -32,7 +32,7 @@ from operator import ne
 from cnotswap import __version__
 from .feasibility import PARITY_DIMENSION_LIMIT, Verdict, decide
 from .gates import GateKind, gate_perm, swap_perm
-from .perm import CostGuardError, Perm
+from .perm import CostGuardError, Perm, _check_guard
 from .synthesis import (
     DEFAULT_MAX_DIMENSION,
     DEFAULT_MAX_ELEMENTS,
@@ -51,7 +51,6 @@ EXIT_USAGE = 64
 EXIT_GUARD = 65
 EXIT_OUTPUT_CLOSED = 74
 
-ANALYZE_DIMENSION_LIMIT = PARITY_DIMENSION_LIMIT
 MATRIX_DIMENSION_LIMIT = 64  # d*d rows of d*d entries beyond this is unhelpful
 
 
@@ -194,15 +193,10 @@ def _matrix_rows(perm: Perm, sep: str) -> Iterator[str]:
         yield ("0" + sep) * k + "1" + (sep + "0") * (n - 1 - k)
 
 
-def _guard(name: str, d: int, limit: int) -> None:
-    if d > limit:
-        raise CostGuardError(f"{name} guard: d = {d} exceeds {limit}")
-
-
 def _run_analyze(args):
-    _guard("analyze", args.d, ANALYZE_DIMENSION_LIMIT)
+    _check_guard("analyze", args.d, PARITY_DIMENSION_LIMIT)
     if args.matrix:
-        _guard("matrix", args.d, MATRIX_DIMENSION_LIMIT)
+        _check_guard("matrix", args.d, MATRIX_DIMENSION_LIMIT)
     perm = gate_perm(GateKind(args.gate), args.d)
     ct = perm.cycle_type()
     sig = perm.signature()
@@ -275,7 +269,7 @@ def _run_group(args):
 
 
 def _run_export(args):
-    _guard("matrix", args.d, MATRIX_DIMENSION_LIMIT)
+    _check_guard("matrix", args.d, MATRIX_DIMENSION_LIMIT)
     perm = gate_perm(GateKind(args.gate), args.d)
     matrix = {"n": len(perm), "entries": perm}
     lines = (_json_lines(matrix) if args.format == "json"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .gates import cnot1_perm, cnot2_perm, swap_perm, _check_dimension
-from .perm import CostGuardError
+from .perm import _check_guard
 
 PARITY_DIMENSION_LIMIT = 1000
 
@@ -58,10 +58,7 @@ def parity_report(d: int) -> ParityReport:
     a hard error: the two routes are double-entry bookkeeping.
     """
     d = _check_dimension(d)
-    if d > PARITY_DIMENSION_LIMIT:
-        raise CostGuardError(
-            f"parity guard: d = {d} exceeds {PARITY_DIMENSION_LIMIT} (permutations on d*d points)"
-        )
+    _check_guard("parity", d, PARITY_DIMENSION_LIMIT, " (permutations on d*d points)")
     sig_swap = swap_perm(d).signature()
     formula = swap_signature_formula(d)
     if sig_swap != formula:

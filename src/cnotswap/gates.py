@@ -40,24 +40,6 @@ def _check_dimension(d: int) -> int:
     return _check_integer(d, "dimension", 1)
 
 
-def basis_index(d: int, m: int, n: int) -> int:
-    """Flat index d*m + n of the basis state with digits (m, n)."""
-    d = _check_dimension(d)
-    m, n = _check_integer(m, "digit", 0), _check_integer(n, "digit", 0)
-    if m >= d or n >= d:
-        raise ValueError(f"digits ({m}, {n}) outside Z_{d}")
-    return d * m + n
-
-
-def basis_digits(d: int, flat: int) -> tuple[int, int]:
-    """Digits (m, n) of the flat basis index."""
-    d = _check_dimension(d)
-    flat = _check_integer(flat, "flat index", 0)
-    if flat >= d * d:
-        raise ValueError(f"flat index {flat} outside 0..{d * d - 1}")
-    return divmod(flat, d)
-
-
 def _product(d: int, g, m):
     """The product g*m mod d of two matrices (a, b, c, e) of ints."""
     p, q, r, s = g
@@ -96,6 +78,9 @@ def _linear_images(d: int, a, b, c, e) -> np.ndarray:
 
 def gate_perm(kind: GateKind, d: int) -> Perm:
     """The gate's permutation of the basis states, built from its matrix."""
+    if not isinstance(kind, GateKind):
+        kinds = ", ".join(GateKind.__members__)
+        raise ValueError(f"invalid gate {kind!r}; need a GateKind: {kinds}")
     return Perm(_linear_images(d, *GATE_MATRICES[kind]).ravel())
 
 
@@ -118,16 +103,17 @@ def as_linear_map(p: Perm, d: int) -> tuple[int, int, int, int] | None:
     """Recover the matrix (a, b, c, e) over Z_d realizing p, or None if p is
     not linear.
 
-    Candidate columns are read off the images of (1, 0) and (0, 1); the
-    candidate is accepted only if it reproduces p on every basis state.
-    Linear maps fix the origin, so p(0) != 0 fails immediately.
+    Candidate columns are read off the images of (1, 0) and (0, 1), the flat
+    points d and 1 (both 0 at d = 1); the candidate is accepted only if it
+    reproduces p on every basis state.
     """
     d = _check_dimension(d)
-    if len(p) != d * d:
-        raise ValueError(f"permutation on {len(p)} points does not match d*d = {d * d}")
-    if p(0) != 0:
-        return None
-    a, c = basis_digits(d, p(basis_index(d, 1 % d, 0)))
-    b, e = basis_digits(d, p(basis_index(d, 0, 1 % d)))
-    linear = np.array_equal(_linear_images(d, a, b, c, e).ravel(), p.table)
+    if not isinstance(p, Perm):
+        raise ValueError(f"need a Perm, not {type(p).__name__}")
+    table = p.table
+    if len(table) != d * d:
+        raise ValueError(f"permutation on {len(table)} points does not match d*d = {d * d}")
+    a, c = divmod(int(table[d % (d * d)]), d)
+    b, e = divmod(int(table[1 % d]), d)
+    linear = np.array_equal(_linear_images(d, a, b, c, e).ravel(), table)
     return (a, b, c, e) if linear else None

@@ -4,7 +4,8 @@ Permutations are stored as image tables: ``image[i]`` is where point ``i``
 goes, held as one read-only int64 numpy array so every operation runs as
 whole-array arithmetic.  Composition follows the convention
 (p * q)(i) = p(q(i)), i.e. the right factor acts first.  Everything here is
-exact integer arithmetic.
+exact integer arithmetic.  ``_check_integer`` and ``_check_guard``, which
+raises every dimension guard's ``CostGuardError``, check the package's inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ import numpy as np
 
 class CostGuardError(ValueError):
     """An operation would exceed its resource guard."""
+
+
+def _check_guard(name: str, d: int, limit: int, note: str = "") -> None:
+    """CostGuardError once the dimension d exceeds the guard's limit."""
+    if d > limit:
+        raise CostGuardError(f"{name} guard: d = {d} exceeds {limit}{note}")
 
 
 def _check_integer(value, name: str, least: int) -> int:
@@ -93,9 +100,6 @@ class Perm:
 
     def __len__(self) -> int:
         return len(self._image)
-
-    def __call__(self, point: int) -> int:
-        return int(self._image[point])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Perm):

@@ -40,7 +40,7 @@ from .gates import (
     GATE_MATRICES, GENERATORS, GateKind, as_linear_map, _check_dimension, _determinant,
     _linear_images, _product,
 )
-from .perm import CostGuardError, Perm, _check_integer
+from .perm import CostGuardError, Perm, _check_guard, _check_integer
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
 DEFAULT_MAX_DIMENSION = 31
@@ -50,6 +50,7 @@ KEY_STATE_BUDGET = 64 << 20
 # bytes of step tables kept between searches (``_search_tables``): every
 # d in [16, 40] together take 0.33 MB, and d = 254 alone 1.03 MB
 TABLE_CACHE_BUDGET = 2 << 20
+TRIAL_DIVISION_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -369,11 +370,7 @@ def check_search_guards(d: int, max_dimension: int) -> int:
     return d as a plain int."""
     d = _check_dimension(d)
     max_dimension = _check_integer(max_dimension, "max_dimension", 1)
-    if d > max_dimension:
-        raise CostGuardError(
-            f"search guard: d = {d} exceeds {max_dimension}; "
-            "raise max_dimension explicitly to override"
-        )
+    _check_guard("search", d, max_dimension, "; raise max_dimension explicitly to override")
     if _key_state_bytes(d) > KEY_STATE_BUDGET:
         raise CostGuardError(
             f"search guard: the visited keys at d = {d} need {_key_state_bytes(d)} bytes, "
@@ -384,10 +381,15 @@ def check_search_guards(d: int, max_dimension: int) -> int:
 
 def sl2_order(d: int) -> int:
     """Order of SL(2, Z_d), the group the two CNOTs generate: d**3 times the
-    product of (1 - p**-2) over the primes p dividing d."""
+    product of (1 - p**-2) over the primes p dividing d.  Factoring d by trial
+    division past TRIAL_DIVISION_LIMIT, which no d below 10**12 needs, is a
+    CostGuardError."""
     d = _check_dimension(d)
     order, rest, p = d**3, d, 2
     while p * p <= rest:  # a p that still divides rest is prime
+        if p > TRIAL_DIVISION_LIMIT:
+            raise CostGuardError(f"order guard: d = {d} has a cofactor {rest} with no "
+                                 f"prime factor up to {TRIAL_DIVISION_LIMIT}")
         if rest % p == 0:
             order = order * (p * p - 1) // (p * p)
             while rest % p == 0:

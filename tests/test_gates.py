@@ -11,8 +11,6 @@ from cnotswap.gates import (
     GateKind,
     _determinant,
     as_linear_map,
-    basis_digits,
-    basis_index,
     cnot1_perm,
     cnot2_perm,
     gate_perm,
@@ -34,39 +32,6 @@ from qutrit_tables import (
     SWAP_IMAGE_D3,
     SWAP_LOOKALIKE_IMAGE_D3,
 )
-
-
-def test_basis_index_round_trip():
-    for d in (1, 2, 3, 7):
-        for m in range(d):
-            for n in range(d):
-                assert basis_digits(d, basis_index(d, m, n)) == (m, n)
-    assert basis_index(3, 2, 1) == 7
-    # numpy inputs give plain ints: basis_digits(3, np.int64(4)) returned
-    # (np.int64(1), np.int64(1)), and a np.uint8 index gave np.uint8 digits
-    for kind in (np.int64, np.uint8, np.int32, np.uint64):
-        digits = basis_digits(kind(3), kind(4))
-        assert digits == (1, 1) and all(type(x) is int for x in digits)
-        flat = basis_index(kind(3), kind(1), kind(1))
-        assert flat == 4 and type(flat) is int
-
-
-def test_basis_index_validation():
-    with pytest.raises(ValueError):
-        basis_index(3, 3, 0)
-    with pytest.raises(ValueError):
-        basis_index(3, 0, -1)
-    with pytest.raises(ValueError):
-        basis_digits(3, 9)
-    # basis_index(3, 1.5, 0) returned 4.5
-    for m, n in ((1.5, 0), (0, 1.5), (True, 0), (0, 1.0)):
-        with pytest.raises(ValueError, match="need an integer"):
-            basis_index(3, m, n)
-    with pytest.raises(ValueError, match="need an integer"):
-        basis_digits(3, 1.5)
-    for d in (0, 2.5, 3.0, True):
-        with pytest.raises(ValueError):
-            basis_index(d, 0, 0)
 
 
 def test_gate_image_tables():
@@ -132,7 +97,7 @@ def test_swap_d3_is_not_the_lookalike_table():
     assert lookalike.cycle_type() == true_swap.cycle_type() == (1, 1, 1, 2, 2, 2)
     assert lookalike.signature() == true_swap.signature() == -1
     assert lookalike != true_swap
-    differing = [i for i in range(9) if lookalike(i) != true_swap(i)]
+    differing = [i for i in range(9) if lookalike.table[i] != true_swap.table[i]]
     assert differing == [1, 3, 5, 7]
 
 
@@ -259,6 +224,13 @@ def test_gate_perm_dispatch():
     assert GateKind.SWAP not in GENERATORS
 
 
+def test_gate_perm_refuses_what_is_not_a_gate_kind():
+    # gate_perm("swap", 3) raised a bare KeyError from the matrix lookup
+    for kind in ("swap", "SWAP", None, 0):
+        with pytest.raises(ValueError, match="need a GateKind: CNOT1, CNOT2, SWAP"):
+            gate_perm(kind, 3)
+
+
 # -- linear-map recovery --
 
 
@@ -302,15 +274,16 @@ def test_origin_fixing_nonlinear_perm_is_rejected():
 
 def per_point_linear_map(p, d):
     """Test-local oracle: the candidate checked one basis state at a time."""
-    if p(0) != 0:
+    image = p.table.tolist()
+    if image[0] != 0:
         return None
     if d == 1:
         return (0, 0, 0, 0)
-    a, c = divmod(p(1 * d), d)
-    b, e = divmod(p(1), d)
+    a, c = divmod(image[1 * d], d)
+    b, e = divmod(image[1], d)
     for flat in range(d * d):
         m, n = divmod(flat, d)
-        if basis_index(d, (a * m + b * n) % d, (c * m + e * n) % d) != p(flat):
+        if d * ((a * m + b * n) % d) + (c * m + e * n) % d != image[flat]:
             return None
     return a, b, c, e
 
@@ -335,3 +308,12 @@ def test_linear_map_recovery_matches_a_per_point_check(d):
 def test_linear_map_size_mismatch():
     with pytest.raises(ValueError):
         as_linear_map(Perm.identity(9), 2)
+
+
+def test_a_target_that_is_not_a_perm_is_refused():
+    # find_word(3, list(range(9))) died with TypeError: 'list' object is not callable
+    for target in (list(range(9)), np.arange(9)):
+        with pytest.raises(ValueError, match="need a Perm"):
+            as_linear_map(target, 3)
+        with pytest.raises(ValueError, match="need a Perm"):
+            find_word(3, target)

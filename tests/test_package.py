@@ -15,9 +15,9 @@ PYPROJECT = ROOT / "pyproject.toml"
 EXPORTS = [
     "CostGuardError", "Decision", "GENERATORS", "GateKind", "GateWord", "GroupCensus",
     "GroupTooLarge", "ParityReport", "Perm", "SearchOutcome", "SynthesisResult", "Verdict",
-    "__version__", "apply_word", "as_linear_map", "basis_digits", "basis_index", "cnot1_perm",
-    "cnot2_perm", "decide", "enumerate_group", "find_word", "gate_perm", "parity_report",
-    "sl2_order", "swap_perm", "swap_signature_formula",
+    "__version__", "apply_word", "as_linear_map", "cnot1_perm", "cnot2_perm", "decide",
+    "enumerate_group", "find_word", "gate_perm", "parity_report", "sl2_order", "swap_perm",
+    "swap_signature_formula",
 ]
 
 

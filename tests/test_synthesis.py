@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -254,6 +255,18 @@ def test_sl2_order_stops_at_the_square_root():
     # a large prime factor is left over once p*p passes the rest
     d = 12 * p
     assert sl2_order(d) == d**3 * 3 * 8 * (p * p - 1) // (4 * 9 * p * p)
+    p = 10**12 + 39  # prime, below (10**6 + 1)**2: trial division ends in time
+    assert sl2_order(p) == p**3 - p
+    assert sl2_order(2**64) == 2**192 * 3 // 4
+
+
+def test_sl2_order_bounds_its_trial_division():
+    # sl2_order(2**61 - 1) trial-divided up to 1.5e9 for most of a minute
+    start = time.perf_counter()
+    for d in (2**61 - 1, 6 * (2**61 - 1)):
+        with pytest.raises(CostGuardError, match=f"order guard: d = {d} "):
+            sl2_order(d)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_element_cap_yields_too_large():
