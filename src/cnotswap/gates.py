@@ -66,7 +66,7 @@ def _linear_images(d: int, a, b, c, e) -> np.ndarray:
     digits = np.arange(d, dtype=np.int32 if d * d <= 2**31 else np.int64)
 
     def coordinate(x, y):
-        t = (x * digits % d)[..., :, None] + (y * digits % d)[..., None, :]
+        t = (x * digits % d)[:, None] + (y * digits % d)[None, :]
         np.subtract(t, d, out=t, where=t >= d)
         return t
 

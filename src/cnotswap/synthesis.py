@@ -9,10 +9,11 @@ among its layer's children, from which its parent and letter follow.  Every
 answer is read off the births: a census from their layer lengths and a word
 by walking them back.
 
-The step tables depend on d alone, so they are built on the first search at
-d and kept read-only for the rest of the process, least recently used first
-out once they would take over TABLE_CACHE_BUDGET bytes.  Each search
-allocates only its own membership array (``owner``), frontier and births.
+The step tables depend on d alone and are read-only.  Those of every d whose
+tables fit TABLE_CACHE_BUDGET together with the tables of all smaller d are
+built on the first search at d and kept for the rest of the process; a larger
+d builds its own for each search.  Each search allocates only its own
+membership array (``owner``), frontier and births.
 
 The Cayley graph is explored breadth-first: appending a generator to the
 end of a circuit-time word is one edge, so the depth of an element's first
@@ -28,10 +29,9 @@ A search truncated by a depth or element cap reports DEPTH_LIMIT instead.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -47,8 +47,8 @@ DEFAULT_MAX_DIMENSION = 31
 # bytes a search's dense state may take (``_key_state_bytes``):
 # 16.9 MB at d = 160, and d <= 254 fits
 KEY_STATE_BUDGET = 64 << 20
-# bytes of step tables kept between searches (``_search_tables``): every
-# d in [16, 40] together take 0.33 MB, and d = 254 alone 1.03 MB
+# bytes of step tables kept between searches (``_search_tables``): the
+# tables of every d <= 72 take 2.03 MB together
 TABLE_CACHE_BUDGET = 2 << 20
 TRIAL_DIVISION_LIMIT = 10**6
 
@@ -136,8 +136,8 @@ def _table_bytes(d: int) -> int:
 def _key_state_bytes(d: int) -> int:
     """Bytes of a search's dense state at d: the int32 ``owner`` of every
     d**3 key, allocated per call, and the step tables, built once per process
-    (``_search_tables``).  The int64 Bézout pair that builds the tables is
-    freed once they are built."""
+    at a d that ``_search_tables`` keeps and per search above it.  The int64
+    Bézout pair that builds the tables is freed once they are built."""
     return 4 * d**3 + _table_bytes(d)
 
 
@@ -200,8 +200,9 @@ def _keys(d: int, bezout: tuple[np.ndarray, np.ndarray], first, second):
     return key
 
 
-def _step_tables(d: int, bezout: tuple[np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, ...]]:
-    """Per generator G, the int32 tables (d*T_G, off_G) over column codes f.
+def _step_tables(d: int) -> list[tuple[np.ndarray, ...]]:
+    """Per generator G, the read-only int32 tables (d*T_G, off_G) over column
+    codes f.
 
     With (x, y) the Bézout pair of f, s0(f) = (-y, x) is the second column
     of the det-1 matrix with first column f and key offset t = 0.  The
@@ -211,13 +212,16 @@ def _step_tables(d: int, bezout: tuple[np.ndarray, np.ndarray]) -> list[tuple[np
     x*(G*f)_1 + y*(G*f)_2 = 1, it reads t off t*G*f, so the child's key is
     d*T_G[f] + (t + off_G[f] mod d).
     """
-    x, y = bezout
+    bezout = x, y = _bezout_table(d)
     base = -y % d * d + x  # the code of s0(f)
     tables = []
     for letter in GENERATORS:
         images = _linear_images(d, *GATE_MATRICES[letter]).ravel()
         offsets = _keys(d, bezout, images, images[base]) % d
-        tables.append(((images * d).astype(np.int32), offsets.astype(np.int32)))
+        table = ((images * d).astype(np.int32), offsets.astype(np.int32))
+        for array in table:
+            array.flags.writeable = False
+        tables.append(table)
     return tables
 
 
@@ -235,31 +239,20 @@ def _step(d: int, table: tuple[np.ndarray, np.ndarray], first, t) -> np.ndarray:
     return child
 
 
-# d -> its two generators' step tables, least recently used first
-_TABLES: OrderedDict[int, list[tuple[np.ndarray, ...]]] = OrderedDict()
-_TABLES_LOCK = threading.Lock()
+_kept_step_tables = cache(_step_tables)
 
 
 def _search_tables(d: int) -> list[tuple[np.ndarray, ...]]:
-    """``_step_tables`` at d, read-only and shared by every search at d.
+    """``_step_tables`` at d, shared by every search at d while the tables of
+    d and all smaller d, 16*(1**2 + ... + d**2) bytes, fit TABLE_CACHE_BUDGET.
 
-    Built on the first call at d and kept while all kept tables take at most
-    TABLE_CACHE_BUDGET bytes; the least recently used go first.
+    So the kept tables never take more than the budget, whichever d are
+    searched and in whatever order, and none is ever dropped.  A larger d
+    builds its tables for each search.
     """
-    size = _table_bytes(d)
-    with _TABLES_LOCK:
-        tables = _TABLES.pop(d, None)
-        if tables is None:
-            tables = _step_tables(d, _bezout_table(d))
-            for table in tables:
-                for array in table:
-                    array.flags.writeable = False
-            if size > TABLE_CACHE_BUDGET:
-                return tables
-            while sum(map(_table_bytes, _TABLES)) + size > TABLE_CACHE_BUDGET:
-                _TABLES.popitem(last=False)
-        _TABLES[d] = tables
-        return tables
+    if 8 * d * (d + 1) * (2 * d + 1) // 3 <= TABLE_CACHE_BUDGET:
+        return _kept_step_tables(d)
+    return _step_tables(d)
 
 
 _UNSEEN, _VISITED = -1, -2

@@ -4,7 +4,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
 
@@ -15,7 +14,6 @@ from cnotswap.gates import (
     GATE_MATRICES, GENERATORS, GateKind, as_linear_map, cnot1_perm, cnot2_perm, swap_perm,
     _determinant, _linear_images,
 )
-from cnotswap import synthesis
 from cnotswap.perm import CostGuardError, Perm
 from cnotswap.synthesis import (
     DEFAULT_MAX_DIMENSION,
@@ -27,6 +25,7 @@ from cnotswap.synthesis import (
     _closure_bfs,
     _key_state_bytes,
     _keys,
+    _kept_step_tables,
     _search_tables,
     _step,
     _step_tables,
@@ -715,7 +714,7 @@ def test_table_step_and_decoding_follow_the_matrices(d, matrices):
     keys = _keys(d, bezout, a * d + c, b * d + e)
     first, t = (part.astype(np.int32) for part in np.divmod(keys, d))
     assert np.array_equal(first, a * d + c)
-    for letter, table in zip(GENERATORS, _step_tables(d, bezout)):
+    for letter, table in zip(GENERATORS, _step_tables(d)):
         p, q, r, s = GATE_MATRICES[letter]
         ga, gb = (p * a + q * c) % d, (p * b + q * e) % d
         gc, ge = (r * a + s * c) % d, (r * b + s * e) % d
@@ -780,11 +779,11 @@ def test_search_finds_a_deep_word_at_d182():
 def test_search_guard_admits_254_and_refuses_255_without_allocating():
     # the owner array and the four step tables, not the Bézout pair freed
     # before them, make the state the guard counts
-    tables = _step_tables(64, _bezout_table(64))
+    tables = _step_tables(64)
     assert _key_state_bytes(64) == 4 * 64**3 + sum(t.nbytes for pair in tables for t in pair)
     assert _key_state_bytes(254) <= KEY_STATE_BUDGET < _key_state_bytes(255)
     identity = Perm.identity(255 * 255)
-    kept = list(synthesis._TABLES)
+    kept = _kept_step_tables.cache_info()
     tracemalloc.start()
     try:
         check_search_guards(254, 254)
@@ -796,7 +795,7 @@ def test_search_guard_admits_254_and_refuses_255_without_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert list(synthesis._TABLES) == kept  # a refused search builds no tables
+    assert _kept_step_tables.cache_info() == kept  # a refused search builds no tables
 
 
 def test_full_closure_at_d64_stays_small():
@@ -814,66 +813,76 @@ def test_full_closure_at_d64_stays_small():
     assert peak < 4.5 * 2**20
 
 
-def test_kept_tables_answer_like_fresh_ones(monkeypatch):
+def test_kept_tables_answer_like_fresh_ones():
     # every element of the group at each d <= 10, and SWAP, asked in turn
     # across d: each search against tables kept from every earlier d gives
     # what the same search gives right after the tables are dropped
-    monkeypatch.setattr(synthesis, "_TABLES", OrderedDict())
     dims = range(1, 11)
     by_d = [[(d, target) for target in reference_elements(d) + [swap_perm(d)]] for d in dims]
     calls = [call for turn in itertools.zip_longest(*by_d) for call in turn if call is not None]
     fresh = []
     for d, target in calls:
-        synthesis._TABLES.clear()
+        _kept_step_tables.cache_clear()
         fresh.append(find_word(d, target))
     censuses = {}
     for d in dims:
-        synthesis._TABLES.clear()
+        _kept_step_tables.cache_clear()
         censuses[d] = enumerate_group(d)
     for (d, target), want in zip(calls, fresh):
         assert find_word(d, target) == want, (d, target)
-    assert set(synthesis._TABLES) == set(dims)
+    assert _kept_step_tables.cache_info().currsize == len(dims)
     assert {d: enumerate_group(d) for d in reversed(dims)} == censuses
     outcomes = {result.outcome for result in fresh}
     assert outcomes == {SearchOutcome.FOUND, SearchOutcome.UNREACHABLE_EXHAUSTED}
 
 
+def is_kept(d):
+    return _search_tables(d) is _search_tables(d)
+
+
 def test_kept_tables_are_read_only():
-    find_word(5, swap_perm(5))
-    tables = synthesis._TABLES[5]
-    assert tables is _search_tables(5)
-    for array in (array for table in tables for array in table):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0
-        with pytest.raises(ValueError):
-            array += 1
+    for d in (5, 73):  # kept at 5, built for each search at 73
+        tables = _search_tables(d)
+        assert is_kept(d) == (d == 5)
+        for array in (array for table in tables for array in table):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+            with pytest.raises(ValueError):
+                array += 1
 
 
-def test_kept_tables_stay_within_their_budget(monkeypatch):
-    # the real budget keeps every d of the library benchmark and d = 254
-    assert _table_bytes(254) + sum(map(_table_bytes, range(16, 41))) <= TABLE_CACHE_BUDGET
-    monkeypatch.setattr(synthesis, "_TABLES", OrderedDict())
-    budget = _table_bytes(4) + _table_bytes(5) + _table_bytes(6)
-    monkeypatch.setattr(synthesis, "TABLE_CACHE_BUDGET", budget)
-
-    def kept_after(d):
-        find_word(d, swap_perm(d))
-        assert sum(map(_table_bytes, synthesis._TABLES)) <= budget
-        return list(synthesis._TABLES)
-
-    assert [kept_after(d) for d in (4, 5, 6)][-1] == [4, 5, 6]
-    assert kept_after(4) == [5, 6, 4]  # a search at 4 makes it the most recent
-    assert kept_after(7) == [4, 7]  # 5, then 6, go to make room for 7
-    assert kept_after(9) == [4, 7]  # over the budget alone: used, not kept
-    assert kept_after(2) == [4, 7, 2]
+def test_kept_tables_stay_within_their_budget():
+    # every d of the library benchmark, [16, 40], is kept; d = 254, the
+    # largest the key-state guard admits, is used and not kept
+    _kept_step_tables.cache_clear()
+    for d in [254, *range(40, 15, -1)]:
+        find_word(d, cnot1_perm(d), max_dimension=d)
+    assert _kept_step_tables.cache_info().currsize == 25
+    assert all(map(is_kept, range(16, 41))) and not is_kept(254)
+    assert sum(map(_table_bytes, range(16, 41))) <= TABLE_CACHE_BUDGET
 
 
-def test_threads_share_the_kept_tables(monkeypatch):
-    monkeypatch.setattr(synthesis, "_TABLES", OrderedDict())
-    monkeypatch.setattr(synthesis, "TABLE_CACHE_BUDGET", _table_bytes(5) + _table_bytes(6))
+def test_kept_tables_hold_exactly_the_dimensions_up_to_72():
+    # the tables of d <= 72 fit the budget together and d = 73 would take
+    # them over it, so searches at every d up to 80, in any order, keep
+    # exactly d = 1..72 and never drop one
+    assert sum(map(_table_bytes, range(1, 73))) <= TABLE_CACHE_BUDGET
+    assert sum(map(_table_bytes, range(1, 74))) > TABLE_CACHE_BUDGET
+    _kept_step_tables.cache_clear()
+    first = {d: find_word(d, cnot2_perm(d), max_dimension=80) for d in range(80, 0, -1)}
+    info = _kept_step_tables.cache_info()
+    assert (info.misses, info.currsize) == (72, 72)
+    assert [d for d in range(1, 81) if is_kept(d)] == list(range(1, 73))
+    assert find_word(73, cnot2_perm(73), max_dimension=73) == first[73]
+    assert first[73].word == word(73, C2)
+    assert _kept_step_tables.cache_info()[1:] == info[1:]  # no miss, nothing kept
+
+
+def test_threads_share_the_kept_tables():
     calls = [(d, target) for d in range(2, 8) for target in (swap_perm(d), cnot1_perm(d))]
     want = [find_word(d, target) for d, target in calls]
+    _kept_step_tables.cache_clear()
     failures = []
 
     def search(seed):
@@ -898,4 +907,5 @@ def test_threads_share_the_kept_tables(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert sum(map(_table_bytes, synthesis._TABLES)) <= synthesis.TABLE_CACHE_BUDGET
+    assert _kept_step_tables.cache_info().currsize == 6
+    assert all(map(is_kept, range(2, 8)))
