@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cnotswap.cli import _positive_int
 from cnotswap.feasibility import decide
-from cnotswap.gates import GATE_MATRICES, GateKind, _determinant, swap_perm
+from cnotswap.gates import GATE_MATRICES, GateKind, _determinant, gate_perm
 from cnotswap.perm import CostGuardError
 from cnotswap.synthesis import SearchOutcome, enumerate_group, find_word, sl2_order
 
@@ -48,7 +48,8 @@ def sweep_row(d: int, max_elements: int, skip_search: bool) -> dict:
     if skip_search:
         return row
     try:
-        result = find_word(d, swap_perm(d), max_elements=max_elements, max_dimension=d)
+        result = find_word(d, gate_perm(GateKind.SWAP, d), max_elements=max_elements,
+                           max_dimension=d)
     except CostGuardError as exc:
         return {**row, "stop": "guard", "reason": str(exc)}
     row["search"] = result.outcome.value

@@ -14,17 +14,13 @@ from .gates import (
     GENERATORS,
     GateKind,
     as_linear_map,
-    cnot1_perm,
-    cnot2_perm,
     gate_perm,
-    swap_perm,
 )
 from .feasibility import (
     Decision,
     ParityReport,
     Verdict,
     decide,
-    parity_report,
     swap_signature_formula,
 )
 from .synthesis import (
@@ -45,15 +41,11 @@ __all__ = [
     "GENERATORS",
     "GateKind",
     "as_linear_map",
-    "cnot1_perm",
-    "cnot2_perm",
     "gate_perm",
-    "swap_perm",
     "Decision",
     "ParityReport",
     "Verdict",
     "decide",
-    "parity_report",
     "swap_signature_formula",
     "GateWord",
     "GroupCensus",

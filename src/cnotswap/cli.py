@@ -31,7 +31,7 @@ from operator import ne
 
 from cnotswap import __version__
 from .feasibility import PARITY_DIMENSION_LIMIT, Verdict, decide
-from .gates import GateKind, gate_perm, swap_perm
+from .gates import GateKind, gate_perm
 from .perm import CostGuardError, Perm, _check_guard
 from .synthesis import (
     DEFAULT_MAX_DIMENSION,
@@ -230,7 +230,7 @@ def _run_decide(args):
 
 def _run_synth(args):
     check_search_guards(args.d, args.max_dimension)  # before the target's d*d table
-    result = find_word(args.d, swap_perm(args.d), max_depth=args.max_depth,
+    result = find_word(args.d, gate_perm(GateKind.SWAP, args.d), max_depth=args.max_depth,
                        max_elements=args.max_elements, max_dimension=args.max_dimension)
     outcome = result.outcome.value
     if result.outcome is SearchOutcome.FOUND:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .gates import cnot1_perm, cnot2_perm, swap_perm, _check_dimension
+from .gates import GateKind, _check_dimension, gate_perm
 from .perm import _check_guard
 
 PARITY_DIMENSION_LIMIT = 1000
@@ -50,40 +50,26 @@ def swap_signature_formula(d: int) -> int:
     return -1 if (d * (d - 1) // 2) % 2 else 1
 
 
-def parity_report(d: int) -> ParityReport:
-    """Signatures computed from the actual gate permutations.
+def decide(d: int) -> Decision:
+    """INFEASIBLE_BY_PARITY when both generators are even and swap is odd.
 
-    Works for composite d, where no closed form is assumed.  The swap sign
-    is computed twice (cycle count and closed form) and any disagreement is
-    a hard error: the two routes are double-entry bookkeeping.
+    Signatures are computed from the actual gate permutations, so composite
+    d needs no closed form.  Any other sign pattern leaves the question
+    open; only an exhaustive search can settle it.  The swap sign is also
+    taken from its closed form and any disagreement is a hard error: the
+    two routes are double-entry bookkeeping.
     """
     d = _check_dimension(d)
     _check_guard("parity", d, PARITY_DIMENSION_LIMIT, " (permutations on d*d points)")
-    sig_swap = swap_perm(d).signature()
+    sig_cnot1, sig_cnot2, sig_swap = (gate_perm(kind, d).signature() for kind in GateKind)
     formula = swap_signature_formula(d)
     if sig_swap != formula:
         raise RuntimeError(
             f"swap signature cross-check failed at d = {d}: "
             f"cycle count gives {sig_swap}, closed form gives {formula}"
         )
-    return ParityReport(
-        d=d,
-        sig_cnot1=cnot1_perm(d).signature(),
-        sig_cnot2=cnot2_perm(d).signature(),
-        sig_swap=sig_swap,
-        d_mod_4=d % 4,
-    )
-
-
-def decide(d: int) -> Decision:
-    """INFEASIBLE_BY_PARITY when both generators are even and swap is odd.
-
-    Any other sign pattern leaves the question open; only an exhaustive
-    search can settle it.
-    """
-    report = parity_report(d)
-    obstructed = (
-        report.sig_cnot1 == 1 and report.sig_cnot2 == 1 and report.sig_swap == -1
-    )
+    report = ParityReport(d=d, sig_cnot1=sig_cnot1, sig_cnot2=sig_cnot2, sig_swap=sig_swap,
+                          d_mod_4=d % 4)
+    obstructed = sig_cnot1 == sig_cnot2 == 1 and sig_swap == -1
     verdict = Verdict.INFEASIBLE_BY_PARITY if obstructed else Verdict.UNKNOWN_BY_PARITY
     return Decision(verdict=verdict, report=report)

@@ -84,21 +84,6 @@ def gate_perm(kind: GateKind, d: int) -> Perm:
     return Perm(_linear_images(d, *GATE_MATRICES[kind]).ravel())
 
 
-def cnot1_perm(d: int) -> Perm:
-    """(m, n) -> (m, n + m mod d); control on the first system."""
-    return gate_perm(GateKind.CNOT1, d)
-
-
-def cnot2_perm(d: int) -> Perm:
-    """(m, n) -> (m + n mod d, n); control on the second system."""
-    return gate_perm(GateKind.CNOT2, d)
-
-
-def swap_perm(d: int) -> Perm:
-    """(m, n) -> (n, m); an involution fixing the d diagonal states."""
-    return gate_perm(GateKind.SWAP, d)
-
-
 def as_linear_map(p: Perm, d: int) -> tuple[int, int, int, int] | None:
     """Recover the matrix (a, b, c, e) over Z_d realizing p, or None if p is
     not linear.

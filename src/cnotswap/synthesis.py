@@ -404,7 +404,9 @@ def enumerate_group(
     max_elements = _check_integer(max_elements, "max_elements", 1)
     closure = _closure_bfs(d, max_elements=max_elements)
     if closure.status == "capped":
-        # the cap fired with exactly max_elements elements admitted
+        # the closure admits whole layers, so it may stop short of the cap;
+        # elements_found reports the one-at-a-time BFS order, which admits
+        # exactly max_elements elements before its cap fires
         return GroupTooLarge(d=d, max_elements=max_elements, elements_found=max_elements)
     counts = tuple(len(births) for births in closure.births[:-1])
     return GroupCensus(d=d, order=sum(counts), diameter=len(counts) - 1, counts_by_depth=counts)

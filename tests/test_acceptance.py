@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 
 from cnotswap.gates import (
-    GateKind, _determinant, as_linear_map, cnot1_perm, cnot2_perm, swap_perm,
+    GateKind, _determinant, as_linear_map, gate_perm,
 )
 from cnotswap.cli import _matrix_rows
 from cnotswap.perm import Perm
@@ -74,7 +74,7 @@ def test_criterion_02_qutrit_matrix_fixtures(run_cli):
 def test_criterion_03_swap_sign_mod_4_law():
     with budget(5.0, "criterion 3: swap sign law for 2 <= d <= 50"):
         for d in range(2, 51):
-            by_cycles = swap_perm(d).signature()
+            by_cycles = gate_perm(GateKind.SWAP, d).signature()
             by_formula = swap_signature_formula(d)
             assert by_cycles == by_formula
             assert by_cycles == (1 if d % 4 in (0, 1) else -1)
@@ -85,7 +85,7 @@ def test_criterion_04_prime_generator_parity():
         for d in (2, 3, 5, 7, 11, 13):
             expected_sig = -1 if d == 2 else 1
             expected_type = (1,) * d + (d,) * (d - 1)
-            for perm in (cnot1_perm(d), cnot2_perm(d)):
+            for perm in (gate_perm(GateKind.CNOT1, d), gate_perm(GateKind.CNOT2, d)):
                 assert perm.signature() == expected_sig
                 assert perm.cycle_type() == expected_type
 
@@ -110,11 +110,11 @@ def test_criterion_06_qubit_swap_synthesis(run_cli):
         word = report["result"]["word"]
         assert report["result"]["length"] == len(word) == 3
 
-        gates = {"CNOT1": cnot1_perm(2), "CNOT2": cnot2_perm(2)}
+        gates = {"CNOT1": gate_perm(GateKind.CNOT1, 2), "CNOT2": gate_perm(GateKind.CNOT2, 2)}
         evaluated = Perm.identity(4)
         for name in word:
             evaluated = gates[name] * evaluated
-        assert evaluated == swap_perm(2)
+        assert evaluated == gate_perm(GateKind.SWAP, 2)
 
         # brute force all 14 nonempty words of length <= 3
         checked = 0
@@ -124,7 +124,7 @@ def test_criterion_06_qubit_swap_synthesis(run_cli):
                 for name in letters:
                     acc = gates[name] * acc
                 if length < 3:
-                    assert acc != swap_perm(2)
+                    assert acc != gate_perm(GateKind.SWAP, 2)
                 checked += 1
         assert checked == 14
 
@@ -137,14 +137,14 @@ def test_criterion_07_qutrit_unreachable_by_exhaustion(run_cli):
         reported_order = report["result"]["group_order"]
 
         # independent naive closure: multiply until nothing new appears
-        gens = [cnot1_perm(3), cnot2_perm(3)]
+        gens = [gate_perm(GateKind.CNOT1, 3), gate_perm(GateKind.CNOT2, 3)]
         elems = {Perm.identity(9)}
         while True:
             grown = elems | {g * x for g in gens for x in elems}
             if grown == elems:
                 break
             elems = grown
-        assert swap_perm(3) not in elems
+        assert gate_perm(GateKind.SWAP, 3) not in elems
         assert len(elems) == reported_order == 24
 
 
@@ -155,7 +155,7 @@ def test_criterion_08_structural_linear_map_oracle():
                 lm = as_linear_map(p, d)
                 assert lm is not None, f"nonlinear element at d={d}: {p}"
                 assert _determinant(d, lm) == 1 % d
-            swap_map = as_linear_map(swap_perm(d), d)
+            swap_map = as_linear_map(gate_perm(GateKind.SWAP, d), d)
             assert swap_map is not None
             assert _determinant(d, swap_map) == (d - 1) % d
 
@@ -176,7 +176,7 @@ def test_criterion_09_property_suite():
         # determinant oracle, on the matrix rows the CLI prints, agrees with
         # the signature on all gate permutations up to d = 7
         for d in range(1, 8):
-            for perm in (cnot1_perm(d), cnot2_perm(d), swap_perm(d)):
+            for perm in (gate_perm(kind, d) for kind in GateKind):
                 rows = [list(map(int, row.split(","))) for row in _matrix_rows(perm, ",")]
                 assert exact_determinant(rows) == perm.signature()
 

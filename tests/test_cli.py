@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnotswap.cli import _json_pieces, main
-from cnotswap.gates import swap_perm
+from cnotswap.gates import GateKind, gate_perm
 from cnotswap.perm import Perm
 from qutrit_tables import CNOT1_MATRIX_D3, CNOT2_MATRIX_D3, SWAP_MATRIX_D3
 from test_cli_goldens import GOLDENS
@@ -308,10 +308,12 @@ def test_functions_the_benchmark_traces_are_called_by_those_names(run_cli, monke
     assert run_cli("analyze", "--d", "5", "--gate", "swap")[0] == 0
     assert calls == ["gate_perm"]
     calls.clear()
-    for name in ("cnot1_perm", "cnot2_perm", "swap_perm"):
-        count(cnotswap.feasibility, name)
+    assert run_cli("synth", "--d", "2")[0] == 0
+    assert calls == ["gate_perm"]
+    calls.clear()
+    count(cnotswap.feasibility, "gate_perm")
     assert run_cli("decide", "--d", "5")[0] == 0
-    assert sorted(calls) == ["cnot1_perm", "cnot2_perm", "swap_perm"]
+    assert calls == ["gate_perm"] * 3
     for owner, name in ((cli, "find_word"), (cli, "enumerate_group"), (cli, "decide"),
                         (synthesis, "find_word"), (Perm, "signature"), (Perm, "cycle_type")):
         assert callable(getattr(owner, name))
@@ -595,7 +597,7 @@ def test_writer_rejects_what_json_rejects(value):
 def test_writer_memory_stays_below_the_output():
     # the d = 1000 swap report has 500500 cycle lengths, about 4.5 MB of
     # text; json.dumps holds 8.4 times that at its peak
-    ct = swap_perm(1000).cycle_type()
+    ct = gate_perm(GateKind.SWAP, 1000).cycle_type()
     report = {"command": "analyze", "params": {"d": 1000, "gate": "swap", "matrix": False},
               "result": {"cycle_type": ct, "d": 1000, "fixed_points": 1000, "gate": "swap",
                          "matrix": None, "signature": 1},

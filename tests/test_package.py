@@ -15,9 +15,8 @@ PYPROJECT = ROOT / "pyproject.toml"
 EXPORTS = [
     "CostGuardError", "Decision", "GENERATORS", "GateKind", "GateWord", "GroupCensus",
     "GroupTooLarge", "ParityReport", "Perm", "SearchOutcome", "SynthesisResult", "Verdict",
-    "__version__", "apply_word", "as_linear_map", "cnot1_perm", "cnot2_perm", "decide",
-    "enumerate_group", "find_word", "gate_perm", "parity_report", "sl2_order", "swap_perm",
-    "swap_signature_formula",
+    "__version__", "apply_word", "as_linear_map", "decide", "enumerate_group", "find_word",
+    "gate_perm", "sl2_order", "swap_signature_formula",
 ]
 
 
@@ -46,10 +45,11 @@ def test_the_benchmark_child_wraps_and_calls_what_exists(monkeypatch):
     patched = {(owner.__name__, attr) for owner, attr, _, _ in tracer.installed}
     assert patched == {
         ("cnotswap.cli", name)
-        for name in ("main", "find_word", "enumerate_group", "decide", "gate_perm", "swap_perm")
+        for name in ("main", "find_word", "enumerate_group", "decide", "gate_perm")
     } | {
-        ("cnotswap.feasibility", name) for name in ("cnot1_perm", "cnot2_perm", "swap_perm")
-    } | {("cnotswap.synthesis", "find_word"), ("Perm", "signature"), ("Perm", "cycle_type")}
+        ("cnotswap.feasibility", "gate_perm"), ("cnotswap.synthesis", "find_word"),
+        ("Perm", "signature"), ("Perm", "cycle_type"),
+    }
     assert {(owner.__name__, attr) for owner, attr, _, _ in alloc.installed} == {
         ("cnotswap.cli", "find_word"), ("cnotswap.cli", "enumerate_group"),
         ("cnotswap.synthesis", "find_word"),
@@ -61,6 +61,15 @@ def test_the_benchmark_child_wraps_and_calls_what_exists(monkeypatch):
     response, _ = child.answer_with(tracer, cnotswap, request)
     assert response == {"outcome": "FOUND", "word": ["CNOT2", "CNOT1"]}
     assert [span[0] for span in tracer.spans] == ["synthesis.search"]
+
+    # the per-layer gates.builds metric counts these spans: decide builds
+    # all three gates, analyze its one gate and synth its SWAP target
+    for argv, builds in (("decide --d 7", 3), ("analyze --d 7 --gate swap", 1),
+                         ("synth --d 2", 1)):
+        tracer.spans.clear()
+        response, _ = child.answer_with(tracer, cnotswap, {"argv": argv.split()})
+        assert response["code"] in (0, 1) and not response["stderr"], response
+        assert [span[0] for span in tracer.spans].count("gates.build") == builds, argv
 
 
 def test_a_library_benchmark_round_passes_the_bench_oracle(monkeypatch):

@@ -1,8 +1,10 @@
-"""The README's Library example runs and gives the results its comments
-state, and its sweep table is what the sweep prints."""
+"""The README's Command line and Library examples run and give the exit
+codes and results their comments state, and its sweep table is what the
+sweep prints."""
 
 import ast
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,16 +17,31 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SWEEP = README.parent / "scripts" / "sweep.py"
 
 
-def library_block() -> str:
+# every other command of the Command line block exits 0
+NONZERO_EXITS = {"decide --d 7": 1, "synth --d 5 --target swap --max-depth 4": 2}
+
+
+def code_block(heading: str, language: str) -> str:
     text = README.read_text(encoding="utf-8")
-    section = text[text.index("\n## Library\n"):]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text[text.index(f"\n## {heading}\n"):]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_command_lines_exit_with_their_documented_codes(run_cli):
+    commands = [shlex.split(line, comments=True)
+                for line in code_block("Command line", "sh").splitlines()
+                if line.startswith("cnotswap ")]
+    for argv in commands:
+        code, out, err = run_cli(*argv[1:])
+        assert code == NONZERO_EXITS.get(" ".join(argv[1:]), 0), (argv, err)
+        assert out and not err, argv
+    assert {" ".join(argv[1:]) for argv in commands} >= NONZERO_EXITS.keys()
 
 
 def test_readme_library_block_runs():
     namespace = {}
     values = []
-    for stmt in ast.parse(library_block(), filename="README.md").body:
+    for stmt in ast.parse(code_block("Library", "python"), filename="README.md").body:
         if isinstance(stmt, ast.Expr):
             values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
         else:

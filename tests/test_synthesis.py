@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cnotswap.gates import (
-    GATE_MATRICES, GENERATORS, GateKind, as_linear_map, cnot1_perm, cnot2_perm, swap_perm,
+    GATE_MATRICES, GENERATORS, GateKind, as_linear_map, gate_perm,
     _determinant, _linear_images,
 )
 from cnotswap.perm import CostGuardError, Perm
@@ -44,7 +44,7 @@ from cnotswap.synthesis import (
 
 from group_reference import reference_elements
 
-C1, C2 = GateKind.CNOT1, GateKind.CNOT2
+C1, C2, SW = GateKind.CNOT1, GateKind.CNOT2, GateKind.SWAP
 
 
 def word(d, *letters):
@@ -53,7 +53,7 @@ def word(d, *letters):
 
 def eval_letters(d, letters):
     """Test-local evaluator: explicit left fold of gate tables."""
-    gates = {C1: cnot1_perm(d), C2: cnot2_perm(d)}
+    gates = {C1: gate_perm(C1, d), C2: gate_perm(C2, d)}
     acc = Perm.identity(d * d)
     for letter in letters:
         acc = gates[letter] * acc
@@ -66,7 +66,7 @@ def naive_closure(d):
     Returns the layers: layer k holds the elements first reached after k
     multiplications, that is the elements whose shortest word has length k.
     """
-    gens = [cnot1_perm(d), cnot2_perm(d)]
+    gens = [gate_perm(C1, d), gate_perm(C2, d)]
     elems = {Perm.identity(d * d)}
     layers = [set(elems)]
     while True:
@@ -84,7 +84,7 @@ def reference_search(d, target=None, *, max_depth=None, max_elements=DEFAULT_MAX
     Returns the ``SynthesisResult`` for ``target``, and the census (or the
     element count at the cap) for a search without one.
     """
-    gens = [(C1, cnot1_perm(d)), (C2, cnot2_perm(d))]
+    gens = [(C1, gate_perm(C1, d)), (C2, gate_perm(C2, d))]
     ident = Perm.identity(d * d)
     words = {ident: ()}
     if target == ident:
@@ -143,7 +143,7 @@ def test_empty_word_is_identity():
 
 
 def test_three_cnot_qubit_swap():
-    assert apply_word(word(2, C1, C2, C1)) == swap_perm(2)
+    assert apply_word(word(2, C1, C2, C1)) == gate_perm(SW, 2)
 
 
 @pytest.mark.parametrize("d", range(1, 11))
@@ -227,10 +227,10 @@ def test_order_matches_sl2_formula(d):
 @pytest.mark.parametrize("d", range(1, DEFAULT_MAX_DIMENSION + 1))
 def test_swap_is_found_exactly_for_d_up_to_2(d):
     # SWAP has determinant -1, which SL(2, Z_d) holds only where -1 = 1
-    result = find_word(d, swap_perm(d))
+    result = find_word(d, gate_perm(SW, d))
     if d <= 2:
         assert result.outcome is SearchOutcome.FOUND
-        assert apply_word(result.word) == swap_perm(d)
+        assert apply_word(result.word) == gate_perm(SW, d)
     else:
         assert result.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED
         assert result.group_order == sl2_order(d)
@@ -283,7 +283,7 @@ def test_cap_equal_to_order_still_completes():
     for d in (1, 3, 5, 8):
         order = enumerate_group(d).order
         assert enumerate_group(d, max_elements=order) == enumerate_group(d)
-        outcome = find_word(d, swap_perm(d), max_elements=order).outcome
+        outcome = find_word(d, gate_perm(SW, d), max_elements=order).outcome
         assert outcome is (SearchOutcome.FOUND if d == 1 else SearchOutcome.UNREACHABLE_EXHAUSTED)
         if order > 1:
             capped = enumerate_group(d, max_elements=order - 1)
@@ -305,7 +305,7 @@ def test_element_cap_mid_layer_stops_at_exactly_the_cap(d, k):
         # the cap fired inside the layer being filled, while expanding the
         # frontier one layer above it
         filling = next(i for i in range(len(counts)) if sum(counts[:i + 1]) > k)
-        capped = find_word(d, swap_perm(d), max_elements=k)
+        capped = find_word(d, gate_perm(SW, d), max_elements=k)
         assert capped.outcome is SearchOutcome.DEPTH_LIMIT
         assert capped.explored_depth == filling - 1
         assert capped.frontier_size == counts[filling - 1]
@@ -320,7 +320,7 @@ def test_searches_reject_an_element_cap_below_one(d, cap):
     message = "max_elements must be >= 1" if type(cap) is int else "need an integer"
     searches = [
         lambda: enumerate_group(d, max_elements=cap),
-        lambda: find_word(d, swap_perm(d), max_elements=cap),
+        lambda: find_word(d, gate_perm(SW, d), max_elements=cap),
         lambda: find_word(d, Perm.identity(d * d), max_elements=cap),
     ]
     for search in searches:
@@ -364,21 +364,21 @@ def test_every_element_is_even_for_odd_dimensions(d):
 
 
 def test_find_word_qubit_swap():
-    result = find_word(2, swap_perm(2))
+    result = find_word(2, gate_perm(SW, 2))
     assert result.outcome is SearchOutcome.FOUND
     assert result.word.letters == (C1, C2, C1)
-    assert apply_word(result.word) == swap_perm(2)
+    assert apply_word(result.word) == gate_perm(SW, 2)
 
 
 def test_find_word_qutrit_swap_unreachable():
-    result = find_word(3, swap_perm(3))
+    result = find_word(3, gate_perm(SW, 3))
     assert result.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED
     assert result.group_order == 24
     assert result.diameter == enumerate_group(3).diameter
 
 
 def test_find_word_generator_at_depth_one():
-    result = find_word(3, cnot1_perm(3))
+    result = find_word(3, gate_perm(C1, 3))
     assert result.outcome is SearchOutcome.FOUND
     assert result.word.letters == (C1,)
 
@@ -390,7 +390,7 @@ def test_find_word_identity_target():
 
 
 def test_find_word_depth_limit():
-    result = find_word(3, swap_perm(3), max_depth=0)
+    result = find_word(3, gate_perm(SW, 3), max_depth=0)
     assert result.outcome is SearchOutcome.DEPTH_LIMIT
     assert result.explored_depth == 0
     assert result.frontier_size == 1
@@ -398,9 +398,9 @@ def test_find_word_depth_limit():
 
 def test_find_word_depth_boundary():
     # the qubit swap needs exactly three letters
-    capped = find_word(2, swap_perm(2), max_depth=2)
+    capped = find_word(2, gate_perm(SW, 2), max_depth=2)
     assert capped.outcome is SearchOutcome.DEPTH_LIMIT
-    exact = find_word(2, swap_perm(2), max_depth=3)
+    exact = find_word(2, gate_perm(SW, 2), max_depth=3)
     assert exact.outcome is SearchOutcome.FOUND
 
 
@@ -415,22 +415,22 @@ def test_completed_closure_beats_depth_cap():
 
 def test_find_word_element_cap_is_inconclusive():
     # a truncated closure must never masquerade as an unreachability proof
-    result = find_word(3, swap_perm(3), max_elements=5)
+    result = find_word(3, gate_perm(SW, 3), max_elements=5)
     assert result.outcome is SearchOutcome.DEPTH_LIMIT
 
 
 def test_target_met_inside_the_layer_before_the_cap_fires():
     # the cap only fires when a new element would exceed it, so a target
     # that is the first element of its layer still counts as found
-    capped = find_word(3, cnot1_perm(3), max_elements=1)
+    capped = find_word(3, gate_perm(C1, 3), max_elements=1)
     assert capped.outcome is SearchOutcome.DEPTH_LIMIT
     assert (capped.explored_depth, capped.frontier_size) == (0, 1)
-    found = find_word(3, cnot1_perm(3), max_elements=2)
+    found = find_word(3, gate_perm(C1, 3), max_elements=2)
     assert found.outcome is SearchOutcome.FOUND
     assert found.word.letters == (C1,)
     # CNOT2 is the second element of layer 1, so it needs room for three
-    assert find_word(3, cnot2_perm(3), max_elements=2).outcome is SearchOutcome.DEPTH_LIMIT
-    assert find_word(3, cnot2_perm(3), max_elements=3).word.letters == (C2,)
+    assert find_word(3, gate_perm(C2, 3), max_elements=2).outcome is SearchOutcome.DEPTH_LIMIT
+    assert find_word(3, gate_perm(C2, 3), max_elements=3).word.letters == (C2,)
 
 
 def test_find_word_size_mismatch():
@@ -442,7 +442,7 @@ def test_find_word_negative_depth():
     # a depth of 1.5 or True used to run
     for depth in (-1, 2.5, True):
         with pytest.raises(ValueError):
-            find_word(2, swap_perm(2), max_depth=depth)
+            find_word(2, gate_perm(SW, 2), max_depth=depth)
 
 
 def test_qubit_depths_match_brute_force():
@@ -478,7 +478,7 @@ def test_matrix_search_matches_image_table_reference(d):
     assert enumerate_group(d) == census
     elems = reference_elements(d)
     odd = Perm([1, 0] + list(range(2, d * d))) if d > 1 else Perm([0])
-    targets = [swap_perm(d), odd] + elems[:: max(1, census.order // 8)]
+    targets = [gate_perm(SW, d), odd] + elems[:: max(1, census.order // 8)]
     depth_caps = sorted({0, 1, census.diameter // 2, census.diameter})
     # a cap below 1 is refused (test_searches_reject_an_element_cap_below_one)
     element_caps = sorted({1, 2, census.order // 3, census.order - 1, census.order} - {0})
@@ -648,7 +648,7 @@ def test_kernel_matches_the_d4_key_reference(d):
     assert_same_closure(_closure_bfs(d, max_elements=DEFAULT_MAX_ELEMENTS), full)
     order, diameter = full.size, len(full.counts_by_depth) - 1
     elements = [tuple(row) for row in np.concatenate(full.layers).tolist()]
-    targets = [None, as_linear_map(swap_perm(d), d), (1 % d, 0, 0, -1 % d)]
+    targets = [None, as_linear_map(gate_perm(SW, d), d), (1 % d, 0, 0, -1 % d)]
     targets += elements[:: max(1, order // 6)] + elements[-1:]
     element_caps = {1, order - 1, order, order + 1} | {k for dd, k in MID_LAYER_CAPS if dd == d}
     element_caps.discard(0)  # refused below 1 (test_searches_reject_an_element_cap_below_one)
@@ -745,7 +745,7 @@ def test_targets_of_another_determinant_exhaust_the_group(d):
     cnot2_twin = (1, 1, 0, d - 1)
     assert _keys(d, bezout, d, d - 1) == _keys(d, bezout, d, 1)
     assert _keys(d, bezout, d, 2 * d - 1) == _keys(d, bezout, d, d + 1)
-    for target in (swap_perm(d), linear_perm(d, negate), linear_perm(d, cnot2_twin)):
+    for target in (gate_perm(SW, d), linear_perm(d, negate), linear_perm(d, cnot2_twin)):
         result = find_word(d, target)
         assert result.outcome is SearchOutcome.UNREACHABLE_EXHAUSTED
         assert result.group_order == sl2_order(d)
@@ -818,7 +818,7 @@ def test_kept_tables_answer_like_fresh_ones():
     # across d: each search against tables kept from every earlier d gives
     # what the same search gives right after the tables are dropped
     dims = range(1, 11)
-    by_d = [[(d, target) for target in reference_elements(d) + [swap_perm(d)]] for d in dims]
+    by_d = [[(d, target) for target in reference_elements(d) + [gate_perm(SW, d)]] for d in dims]
     calls = [call for turn in itertools.zip_longest(*by_d) for call in turn if call is not None]
     fresh = []
     for d, target in calls:
@@ -857,7 +857,7 @@ def test_kept_tables_stay_within_their_budget():
     # largest the key-state guard admits, is used and not kept
     _kept_step_tables.cache_clear()
     for d in [254, *range(40, 15, -1)]:
-        find_word(d, cnot1_perm(d), max_dimension=d)
+        find_word(d, gate_perm(C1, d), max_dimension=d)
     assert _kept_step_tables.cache_info().currsize == 25
     assert all(map(is_kept, range(16, 41))) and not is_kept(254)
     assert sum(map(_table_bytes, range(16, 41))) <= TABLE_CACHE_BUDGET
@@ -870,17 +870,17 @@ def test_kept_tables_hold_exactly_the_dimensions_up_to_72():
     assert sum(map(_table_bytes, range(1, 73))) <= TABLE_CACHE_BUDGET
     assert sum(map(_table_bytes, range(1, 74))) > TABLE_CACHE_BUDGET
     _kept_step_tables.cache_clear()
-    first = {d: find_word(d, cnot2_perm(d), max_dimension=80) for d in range(80, 0, -1)}
+    first = {d: find_word(d, gate_perm(C2, d), max_dimension=80) for d in range(80, 0, -1)}
     info = _kept_step_tables.cache_info()
     assert (info.misses, info.currsize) == (72, 72)
     assert [d for d in range(1, 81) if is_kept(d)] == list(range(1, 73))
-    assert find_word(73, cnot2_perm(73), max_dimension=73) == first[73]
+    assert find_word(73, gate_perm(C2, 73), max_dimension=73) == first[73]
     assert first[73].word == word(73, C2)
     assert _kept_step_tables.cache_info()[1:] == info[1:]  # no miss, nothing kept
 
 
 def test_threads_share_the_kept_tables():
-    calls = [(d, target) for d in range(2, 8) for target in (swap_perm(d), cnot1_perm(d))]
+    calls = [(d, target) for d in range(2, 8) for target in (gate_perm(SW, d), gate_perm(C1, d))]
     want = [find_word(d, target) for d, target in calls]
     _kept_step_tables.cache_clear()
     failures = []
