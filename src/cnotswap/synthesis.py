@@ -3,17 +3,17 @@
 Both CNOTs act on digit pairs as the elementary matrices [[1,0],[1,1]] and
 [[1,1],[0,1]] over Z_d, so every group element is a 2x2 matrix of
 determinant 1.  The search holds the current frontier as faithful keys in
-0 .. d**3 - 1 (int32), steps keys to their children through two d*d-entry
-tables per generator, and records only each element's birth, its position
-among its layer's children, from which its parent and letter follow.  Every
-answer is read off the births: a census from their layer lengths and a word
-by walking them back.
+0 .. d**3 - 1 (int32), steps each key to both its children with one gather
+from each of two d*d-entry tables of packed int32 pairs, and records how many
+elements each depth met and, only when it has a target, each element's birth:
+its position among its layer's children, from which its parent and letter
+follow.  A census is read off the counts and a word off the births.
 
 The step tables depend on d alone and are read-only.  Those of every d whose
 tables fit TABLE_CACHE_BUDGET together with the tables of all smaller d are
 built on the first search at d and kept for the rest of the process; a larger
 d builds its own for each search.  Each search allocates only its own
-membership array (``owner``), frontier and births.
+membership array (``owner``), frontier, counts and births.
 
 The Cayley graph is explored breadth-first: appending a generator to the
 end of a circuit-time word is one edge, so the depth of an element's first
@@ -51,6 +51,7 @@ KEY_STATE_BUDGET = 64 << 20
 # tables of every d <= 72 take 2.03 MB together
 TABLE_CACHE_BUDGET = 2 << 20
 TRIAL_DIVISION_LIMIT = 10**6
+_PAIR = np.int64(2**32 + 1)  # k * _PAIR adds k to both int32 halves of an int64
 
 
 @dataclass(frozen=True)
@@ -119,17 +120,18 @@ def apply_word(word: GateWord) -> Perm:
 
 @dataclass
 class _Closure:
-    """A search's only record: births[k] holds the int32 births of the
-    elements first met at depth k (births[0] = [-1], the identity).  A
-    complete closure ends with one empty layer, a found one with the target
-    last, and a capped one with the frontier it stopped at."""
+    """A search's only record: counts[k] elements were first met at depth k;
+    births[k], kept only with a target key, holds their int32 births (births[0]
+    = [-1]).  A complete closure ends with one empty layer, a found one with
+    the target last, and a capped one with the frontier it stopped at."""
 
     status: str  # "complete" | "found" | "capped"
+    counts: list[int]
     births: list[np.ndarray]
 
 
 def _table_bytes(d: int) -> int:
-    """Bytes of the step tables at d: two int32 d*d-entry tables per generator."""
+    """Bytes of the step tables at d: two d*d-entry tables of int32 pairs."""
     return 2 * len(GENERATORS) * 4 * d * d
 
 
@@ -200,9 +202,9 @@ def _keys(d: int, bezout: tuple[np.ndarray, np.ndarray], first, second):
     return key
 
 
-def _step_tables(d: int) -> list[tuple[np.ndarray, ...]]:
-    """Per generator G, the read-only int32 tables (d*T_G, off_G) over column
-    codes f.
+def _step_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only tables (offsets, scaled) over column codes f, entry f of
+    each an int32 pair, CNOT1's value then CNOT2's, packed in one int64.
 
     With (x, y) the Bézout pair of f, s0(f) = (-y, x) is the second column
     of the det-1 matrix with first column f and key offset t = 0.  The
@@ -210,39 +212,42 @@ def _step_tables(d: int) -> list[tuple[np.ndarray, ...]]:
     has columns G*f and G*s0(f) + t*G*f.  T_G[f] is the code of G*f, and
     off_G[f] the offset that (x, y) of G*f reads off G*s0(f).  Since
     x*(G*f)_1 + y*(G*f)_2 = 1, it reads t off t*G*f, so the child's key is
-    d*T_G[f] + (t + off_G[f] mod d).
+    d*T_G[f] + (t + off_G[f] mod d).  ``scaled`` holds d*T_G[f] and
+    ``offsets`` off_G[f] - d*f, so adding the key gives t + off_G[f].  Each
+    half, in -d**3 .. d**3 - 1, is packed by its value: lifted by d**3, viewed
+    as int64 and lowered by d**3 * _PAIR.
     """
     bezout = x, y = _bezout_table(d)
     base = -y % d * d + x  # the code of s0(f)
-    tables = []
-    for letter in GENERATORS:
+    lifted = np.empty((2, d * d, len(GENERATORS)), dtype=np.int32)  # (offsets, scaled)
+    for column, letter in enumerate(GENERATORS):
         images = _linear_images(d, *GATE_MATRICES[letter]).ravel()
-        offsets = _keys(d, bezout, images, images[base]) % d
-        table = ((images * d).astype(np.int32), offsets.astype(np.int32))
-        for array in table:
-            array.flags.writeable = False
-        tables.append(table)
-    return tables
+        offsets = _keys(d, bezout, images, images[base]) % d - d * np.arange(d * d)
+        lifted[:, :, column] = offsets + d**3, images * d + d**3
+    tables = lifted.view(np.int64)[..., 0] - d**3 * _PAIR
+    tables.flags.writeable = False
+    return tuple(tables)
 
 
-def _step(d: int, table: tuple[np.ndarray, np.ndarray], first, t) -> np.ndarray:
-    """Keys of G*M for the matrices M with int32 keys first*d + t, from one
-    generator's ``_step_tables`` entry."""
-    scaled, offsets = table
-    # s = t + off < 2*d; as uint32, s - d wraps above 2**31 exactly when
-    # s < d, so min(s, s - d) is s mod d
-    child = offsets.take(first).view(np.uint32)
-    child += t.view(np.uint32)
-    np.minimum(child, child - np.uint32(d), out=child)
-    child = child.view(np.int32)
-    child += scaled.take(first)
-    return child
+def _children(d: int, tables: tuple[np.ndarray, np.ndarray], frontier: np.ndarray) -> np.ndarray:
+    """The int32 keys of CNOT1*M and CNOT2*M, one row per int32 key M in
+    ``frontier``, from one gather of each ``_step_tables`` entry."""
+    offsets, scaled = tables
+    first = np.floor_divide(frontier, d, dtype=np.intp)
+    keys = offsets.take(first)
+    keys += frontier * _PAIR  # s = t + off_G[f] < 2*d in each half
+    # as uint32, s - d wraps above 2**31 exactly when s < d, so min(s, s - d)
+    # is s mod d
+    halves = keys.view(np.uint32)
+    np.minimum(halves, halves - np.uint32(d), out=halves)
+    keys += scaled.take(first)
+    return keys.view(np.int32).reshape(-1, 2)
 
 
 _kept_step_tables = cache(_step_tables)
 
 
-def _search_tables(d: int) -> list[tuple[np.ndarray, ...]]:
+def _search_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     """``_step_tables`` at d, shared by every search at d while the tables of
     d and all smaller d, 16*(1**2 + ... + d**2) bytes, fit TABLE_CACHE_BUDGET.
 
@@ -271,20 +276,19 @@ def _closure_bfs(
     convention, is held as its int32 key f*d + t from ``_keys``: its first
     column f = a*d + c and the offset t of its second column from s0(f).
     The key is faithful on SL(2, Z_d), so it is the element, and
-    ``_step_tables`` gives each generator's child key straight from it.
-    Only the frontier's keys are held; what the search keeps is the births
-    (see ``_Closure``), 4 bytes per element.
+    ``_children`` gives the keys of both its children straight from it.
+    Only the frontier's keys are held (``_Closure`` says what is kept).
 
     Membership is exact, not a lossy hash, because certificates of
     unreachability rely on it: one int32 ``owner`` entry per key in
     0 .. d**3 - 1 marks it.  A target of another determinant gets no key and
     is never met.
 
-    Per layer the children are interleaved in (parent, CNOT1 before CNOT2)
-    order and the first occurrence of each unvisited key is kept, which is
-    the element a one-at-a-time insertion-order loop would have added.  Its
-    position in that order is its birth: the parent is birth // 2 in the
-    layer before and the letter birth % 2.
+    Per layer the children come in (parent, CNOT1 before CNOT2) order and
+    the first occurrence of each unvisited key is kept, which is the element
+    a one-at-a-time insertion-order loop would have added.  Its position in
+    that order is its birth: the parent is birth // 2 in the layer before
+    and the letter birth % 2.
     G*P = G*Q only when P = Q, so within a layer a key repeats only as
     CNOT1*P_i = CNOT2*P_j, at positions 2i and 2j + 1: the CNOT1 children
     claim their keys in ``owner`` first, and a CNOT2 child takes a claim
@@ -293,58 +297,53 @@ def _closure_bfs(
     A depth cap stops before layer ``max_depth`` is expanded; an element cap
     stops when the next layer would take the elements over it.
     """
-    step1, step2 = _search_tables(d)
-    ident = np.array([_key(d, (1 % d, 0, 0, 1 % d))], dtype=np.int32)
+    tables = _search_tables(d)
     target_key = None
     if target is not None and _determinant(d, target) == 1 % d:
         target_key = _key(d, target)
     # per key: _UNSEEN, _VISITED, or within a layer the index i >= 0 of the
     # frontier element whose CNOT1 child claims it
     owner = np.full(d**3, _UNSEEN, dtype=np.int32)
-    owner[ident] = _VISITED
-    births = [np.array([-1], dtype=np.int32)]
+    frontier = np.array([_key(d, (1 % d, 0, 0, 1 % d))], dtype=np.int32)  # the identity
+    owner[frontier] = _VISITED
+    counts = [1]
+    births = [] if target_key is None else [np.array([-1], dtype=np.int32)]
     if target_key is not None and owner[target_key] == _VISITED:
-        return _Closure("found", births)
+        return _Closure("found", counts, births)
 
-    frontier = ident
     room = max_elements - 1  # elements the cap still admits
-    while n := len(frontier):
-        if max_depth is not None and len(births) > max_depth:
-            return _Closure("capped", births)
-        first = frontier // d
-        t = first * d
-        np.subtract(frontier, t, out=t)
-        keys1 = _step(d, step1, first, t)
-        keys2 = _step(d, step2, first, t)
-        keep1 = owner.take(keys1) == _UNSEEN
+    while len(frontier):
+        if max_depth is not None and len(counts) > max_depth:
+            return _Closure("capped", counts, births)
+        children = _children(d, tables, frontier)
+        keys1, keys2 = children.T
+        keep = np.empty(children.shape, dtype=bool)
+        keep1, keep2 = keep.T
+        np.equal(owner.take(keys1), _UNSEEN, out=keep1)
         claimed = np.flatnonzero(keep1)
         np.put(owner, keys1[claimed], claimed)
         held = owner.take(keys2)
-        keep2 = held == _UNSEEN
-        later = np.flatnonzero(held > np.arange(n))
+        np.equal(held, _UNSEEN, out=keep2)
+        later = np.flatnonzero(held > np.arange(len(held), dtype=np.int32))
         keep2[later] = True
         keep1[held[later]] = False
-        new = np.flatnonzero(np.stack([keep1, keep2], axis=1))  # births, in order
-        keys = np.stack([keys1, keys2], axis=1).ravel()[new]
-
-        # the cap fires when one more element would exceed it; a target
-        # met before that point is still found
-        found = False
+        new = np.flatnonzero(keep).astype(np.int32)  # births, in order
+        frontier = children.ravel()[new]
+        np.put(owner, frontier, _VISITED)
+        del children, keys1, keys2, claimed, held  # freed before the next layer's step
+        hits = [] if target_key is None else np.flatnonzero(frontier == target_key)
+        if len(hits):
+            frontier = frontier[: hits[0] + 1]
+        # a target met before the cap fires is still found
+        if len(frontier) > room:
+            return _Closure("capped", counts, births)
+        counts.append(len(frontier))
         if target_key is not None:
-            hits = np.flatnonzero(keys == target_key)
-            found = len(hits) > 0 and hits[0] < room
-        if found:
-            new, keys = new[: hits[0] + 1], keys[: hits[0] + 1]
-        elif len(new) > room:
-            return _Closure("capped", births)
-
-        frontier = keys
-        np.put(owner, keys, _VISITED)
-        births.append(new.astype(np.int32))
-        room -= len(new)
-        if found:
-            return _Closure("found", births)
-    return _Closure("complete", births)
+            births.append(new[: len(frontier)])
+        if len(hits):
+            return _Closure("found", counts, births)
+        room -= len(frontier)
+    return _Closure("complete", counts, births)
 
 
 def _word_from_records(closure: _Closure, d: int) -> GateWord:
@@ -408,7 +407,7 @@ def enumerate_group(
         # elements_found reports the one-at-a-time BFS order, which admits
         # exactly max_elements elements before its cap fires
         return GroupTooLarge(d=d, max_elements=max_elements, elements_found=max_elements)
-    counts = tuple(len(births) for births in closure.births[:-1])
+    counts = tuple(closure.counts[:-1])
     return GroupCensus(d=d, order=sum(counts), diameter=len(counts) - 1, counts_by_depth=counts)
 
 
@@ -438,15 +437,15 @@ def find_word(
     )
     if closure.status == "found":
         return SynthesisResult(outcome=SearchOutcome.FOUND, word=_word_from_records(closure, d))
-    births = closure.births
+    counts = closure.counts
     if closure.status == "complete":
         return SynthesisResult(
             outcome=SearchOutcome.UNREACHABLE_EXHAUSTED,
-            group_order=sum(map(len, births)),
-            diameter=len(births) - 2,
+            group_order=sum(counts),
+            diameter=len(counts) - 2,
         )
     return SynthesisResult(
         outcome=SearchOutcome.DEPTH_LIMIT,
-        explored_depth=len(births) - 1,
-        frontier_size=len(births[-1]),
+        explored_depth=len(counts) - 1,
+        frontier_size=counts[-1],
     )

@@ -22,12 +22,12 @@ from cnotswap.synthesis import (
     TABLE_CACHE_BUDGET,
     _bezout_pair,
     _bezout_table,
+    _children,
     _closure_bfs,
     _key_state_bytes,
     _keys,
     _kept_step_tables,
     _search_tables,
-    _step,
     _step_tables,
     _table_bytes,
     GateWord,
@@ -606,12 +606,13 @@ def d4_key_closure(d, *, max_elements, max_depth=None, target=None):
     return RefClosure("complete", size, layers, parents, letters, counts)
 
 
-def assert_same_closure(got, ref):
-    """Same stop, counts and records, read off the births as the callers read
-    them: every element's parent and letter, decoded from its birth, equal the
-    reference's, and since the reference builds each element as letter times
-    parent, both hold the same elements and give equal least words."""
-    lengths = [len(births) for births in got.births]
+def assert_same_closure(got, ref, keyed):
+    """Same stop, counts and records: a search with a target key (``keyed``)
+    keeps every element's birth, and the parent and letter decoded from it
+    equal the reference's; since the reference builds each element as letter
+    times parent, both hold the same elements and give equal least words.
+    Any other search keeps the counts alone."""
+    lengths = got.counts
     assert lengths == [len(layer) for layer in ref.layers]
     if ref.status == "complete":
         # ends with one empty layer; the counts are the others
@@ -628,6 +629,10 @@ def assert_same_closure(got, ref):
         # found; the ones recorded fit under it
         if ref.status == "element_cap":
             assert sum(lengths) <= ref.size
+    if not keyed:
+        assert got.births == []
+        return
+    assert [len(births) for births in got.births] == lengths
     # a birth is a position in its layer's (parent, CNOT1 before CNOT2) order
     starts = np.cumsum([0] + lengths)
     parents = [np.array([-1])] + [
@@ -638,14 +643,25 @@ def assert_same_closure(got, ref):
     assert np.array_equal(np.concatenate(letters), np.concatenate(ref.letters))
 
 
+def assert_kernel_matches_reference(d, target, *, max_elements, max_depth=None):
+    keyed = target is not None and _determinant(d, target) == 1 % d
+    assert_same_closure(
+        _closure_bfs(d, max_elements=max_elements, max_depth=max_depth, target=target),
+        d4_key_closure(d, max_elements=max_elements, max_depth=max_depth, target=target),
+        keyed,
+    )
+
+
 def linear_perm(d, matrix):
     return Perm(_linear_images(d, *matrix).ravel())
 
 
 @pytest.mark.parametrize("d", range(1, 17))
 def test_kernel_matches_the_d4_key_reference(d):
+    # a census keeps no births, so the births of every element are compared
+    # on the search for the reference's last element, which records every
+    # layer but the tail of the last
     full = d4_key_closure(d, max_elements=DEFAULT_MAX_ELEMENTS)
-    assert_same_closure(_closure_bfs(d, max_elements=DEFAULT_MAX_ELEMENTS), full)
     order, diameter = full.size, len(full.counts_by_depth) - 1
     elements = [tuple(row) for row in np.concatenate(full.layers).tolist()]
     targets = [None, as_linear_map(gate_perm(SW, d), d), (1 % d, 0, 0, -1 % d)]
@@ -654,17 +670,34 @@ def test_kernel_matches_the_d4_key_reference(d):
     element_caps.discard(0)  # refused below 1 (test_searches_reject_an_element_cap_below_one)
     for target in targets:
         for max_depth in range(diameter + 2):
-            assert_same_closure(
-                _closure_bfs(d, max_elements=DEFAULT_MAX_ELEMENTS, max_depth=max_depth,
-                             target=target),
-                d4_key_closure(d, max_elements=DEFAULT_MAX_ELEMENTS, max_depth=max_depth,
-                               target=target),
+            assert_kernel_matches_reference(
+                d, target, max_elements=DEFAULT_MAX_ELEMENTS, max_depth=max_depth
             )
         for cap in element_caps:
-            assert_same_closure(
-                _closure_bfs(d, max_elements=cap, target=target),
-                d4_key_closure(d, max_elements=cap, target=target),
+            assert_kernel_matches_reference(d, target, max_elements=cap)
+
+
+@pytest.mark.parametrize("d", [24, 31, 40])
+def test_kernel_matches_the_d4_key_reference_in_the_benchmark_range(d):
+    # the library benchmark searches d in [16, 40]; spread targets, the last
+    # element, depth caps around the middle and the end, and element caps
+    # inside the widest layer and at its edges
+    full = d4_key_closure(d, max_elements=DEFAULT_MAX_ELEMENTS)
+    counts = full.counts_by_depth
+    diameter = len(counts) - 1
+    elements = [tuple(row) for row in np.concatenate(full.layers).tolist()]
+    widest = int(np.argmax(counts))
+    before = sum(counts[:widest])
+    element_caps = [before, before + 1, before + counts[widest] // 2, before + counts[widest],
+                    full.size - 1]
+    targets = [None] + elements[:: len(elements) // 4] + elements[-1:]
+    for target in targets:
+        for max_depth in (diameter // 2, widest, diameter, diameter + 1):
+            assert_kernel_matches_reference(
+                d, target, max_elements=DEFAULT_MAX_ELEMENTS, max_depth=max_depth
             )
+        for cap in element_caps:
+            assert_kernel_matches_reference(d, target, max_elements=cap)
 
 
 def det_one_matrices(d):
@@ -704,22 +737,23 @@ def test_key_is_injective_on_the_group(d):
     ids=[f"all-{d}" for d in range(1, 17)] + [f"random-{d}" for d in (97, 182, 254)],
 )
 def test_table_step_and_decoding_follow_the_matrices(d, matrices):
-    # the search never sees a matrix: it splits each key into the first
-    # column f and the offset t and steps them through the tables, so the
-    # split must give back the matrix's first column and each step must
-    # agree with the matrix product, element by element
+    # the search never sees a matrix: it steps each key through the packed
+    # tables, one gather per table giving both children, so a key's first
+    # column must be key // d and each child must agree with the matrix
+    # product, element by element
     a, b, c, e = matrices(d)
     assert np.all((a * e - b * c) % d == 1 % d)
     bezout = _bezout_table(d)
     keys = _keys(d, bezout, a * d + c, b * d + e)
-    first, t = (part.astype(np.int32) for part in np.divmod(keys, d))
-    assert np.array_equal(first, a * d + c)
-    for letter, table in zip(GENERATORS, _step_tables(d)):
+    assert np.array_equal(keys // d, a * d + c)
+    children = _children(d, _step_tables(d), keys.astype(np.int32))
+    assert children.shape == (len(keys), 2) and children.dtype == np.int32
+    for column, letter in enumerate(GENERATORS):
         p, q, r, s = GATE_MATRICES[letter]
         ga, gb = (p * a + q * c) % d, (p * b + q * e) % d
         gc, ge = (r * a + s * c) % d, (r * b + s * e) % d
         expected = _keys(d, bezout, ga * d + gc, gb * d + ge)
-        assert np.array_equal(_step(d, table, first, t), expected), letter
+        assert np.array_equal(children[:, column], expected), letter
 
 
 @pytest.mark.parametrize("d", range(1, 65))
@@ -777,10 +811,10 @@ def test_search_finds_a_deep_word_at_d182():
 
 
 def test_search_guard_admits_254_and_refuses_255_without_allocating():
-    # the owner array and the four step tables, not the Bézout pair freed
-    # before them, make the state the guard counts
+    # the owner array and the two packed step tables, not the Bézout pair
+    # freed before them, make the state the guard counts
     tables = _step_tables(64)
-    assert _key_state_bytes(64) == 4 * 64**3 + sum(t.nbytes for pair in tables for t in pair)
+    assert _key_state_bytes(64) == 4 * 64**3 + sum(table.nbytes for table in tables)
     assert _key_state_bytes(254) <= KEY_STATE_BUDGET < _key_state_bytes(255)
     identity = Perm.identity(255 * 255)
     kept = _kept_step_tables.cache_info()
@@ -799,10 +833,10 @@ def test_search_guard_admits_254_and_refuses_255_without_allocating():
 
 
 def test_full_closure_at_d64_stays_small():
-    # 196608 elements of 4 bytes (an int32 birth) and a 1.1 MB key state
-    # peak at 3.9 MiB; keeping every layer's int32 keys as well peaked at
-    # 4.4 MiB, the column-code kernel at 5.8 MiB and the d**4 bitmap kernel
-    # at 33.6 MiB
+    # 196608 elements, kept as layer counts only, and a 1.1 MB key state
+    # peak at 2.7 MiB; keeping an int32 birth per element as well peaked at
+    # 3.9 MiB, every layer's int32 keys too at 4.4 MiB, the column-code
+    # kernel at 5.8 MiB and the d**4 bitmap kernel at 33.6 MiB
     tracemalloc.start()
     try:
         census = enumerate_group(64, max_dimension=64)
@@ -811,6 +845,26 @@ def test_full_closure_at_d64_stays_small():
         tracemalloc.stop()
     assert census.order == sl2_order(64)
     assert peak < 4.5 * 2**20
+
+
+@pytest.mark.parametrize("target", [None, (0, 127, 1, 0)], ids=["census", "signed-swap"])
+def test_kernel_transients_stay_within_52_bytes_per_widest_layer_element(target):
+    # past the dense key state and the births a search keeps, what a search
+    # allocates is its widest layer's transients: frontier, children, claim
+    # pass and selection.  The signed swap is met at depth 23 (the diameter
+    # is 26), past the widest layer.  Measured at 40.0 B (census) and 30.3 B
+    # (search); the kernel with four per-generator tables took 50.5-51.5 B
+    d = 128  # above 72, so the search builds its own tables and they count
+    tracemalloc.start()
+    try:
+        closure = _closure_bfs(d, max_elements=DEFAULT_MAX_ELEMENTS, target=target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert closure.status == ("complete" if target is None else "found")
+    kept = sum(births.nbytes for births in closure.births)
+    assert kept == (0 if target is None else 4 * sum(closure.counts))
+    assert peak - _key_state_bytes(d) - kept <= 52 * max(closure.counts)
 
 
 def test_kept_tables_answer_like_fresh_ones():
@@ -844,7 +898,7 @@ def test_kept_tables_are_read_only():
     for d in (5, 73):  # kept at 5, built for each search at 73
         tables = _search_tables(d)
         assert is_kept(d) == (d == 5)
-        for array in (array for table in tables for array in table):
+        for array in tables:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
