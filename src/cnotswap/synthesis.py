@@ -282,7 +282,9 @@ def _closure_bfs(
     Membership is exact, not a lossy hash, because certificates of
     unreachability rely on it: one int32 ``owner`` entry per key in
     0 .. d**3 - 1 marks it.  A target of another determinant gets no key and
-    is never met.
+    is never met.  Once a layer's new elements are marked, one read of
+    ``owner`` at the target's key tells whether the layer met it; only the
+    layer that did is scanned for the target's position, and it is cut there.
 
     Per layer the children come in (parent, CNOT1 before CNOT2) order and
     the first occurrence of each unvisited key is kept, which is the element
@@ -320,27 +322,28 @@ def _closure_bfs(
         keep = np.empty(children.shape, dtype=bool)
         keep1, keep2 = keep.T
         np.equal(owner.take(keys1), _UNSEEN, out=keep1)
-        claimed = np.flatnonzero(keep1)
-        np.put(owner, keys1[claimed], claimed)
+        claimed = keep1.nonzero()[0]
+        owner.put(keys1[claimed], claimed)
         held = owner.take(keys2)
         np.equal(held, _UNSEEN, out=keep2)
-        later = np.flatnonzero(held > np.arange(len(held), dtype=np.int32))
+        later = (held > np.arange(len(held), dtype=np.int32)).nonzero()[0]
         keep2[later] = True
         keep1[held[later]] = False
-        new = np.flatnonzero(keep).astype(np.int32)  # births, in order
+        new = keep.ravel().nonzero()[0].astype(np.int32)  # births, in order
         frontier = children.ravel()[new]
-        np.put(owner, frontier, _VISITED)
+        owner.put(frontier, _VISITED)
         del children, keys1, keys2, claimed, held  # freed before the next layer's step
-        hits = [] if target_key is None else np.flatnonzero(frontier == target_key)
-        if len(hits):
-            frontier = frontier[: hits[0] + 1]
+        # a search returns in the first layer that marks its target
+        found = target_key is not None and owner[target_key] == _VISITED
+        if found:
+            frontier = frontier[: (frontier == target_key).argmax() + 1]
         # a target met before the cap fires is still found
         if len(frontier) > room:
             return _Closure("capped", counts, births)
         counts.append(len(frontier))
         if target_key is not None:
             births.append(new[: len(frontier)])
-        if len(hits):
+        if found:
             return _Closure("found", counts, births)
         room -= len(frontier)
     return _Closure("complete", counts, births)

@@ -700,6 +700,28 @@ def test_kernel_matches_the_d4_key_reference_in_the_benchmark_range(d):
             assert_kernel_matches_reference(d, target, max_elements=cap)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 16, 40])
+def test_element_cap_at_the_targets_own_position(d):
+    # a cap equal to the target's breadth-first index stops just short of it,
+    # with the layers before its own; one more admits it, cut at the target
+    full = d4_key_closure(d, max_elements=DEFAULT_MAX_ELEMENTS)
+    counts = full.counts_by_depth
+    for depth, layer in enumerate(full.layers[: len(counts)]):  # the last is empty
+        before = sum(counts[:depth])
+        for position in sorted({0, len(layer) // 2, len(layer) - 1}):
+            target = tuple(layer[position].tolist())
+            index = before + position
+            if index:  # a cap below 1 is refused
+                capped = _closure_bfs(d, max_elements=index, target=target)
+                assert (capped.status, capped.counts) == ("capped", counts[:depth])
+            found = _closure_bfs(d, max_elements=index + 1, target=target)
+            free = _closure_bfs(d, max_elements=DEFAULT_MAX_ELEMENTS, target=target)
+            assert found.status == free.status == "found"
+            assert found.counts == free.counts == counts[:depth] + [position + 1]
+            assert len(found.births) == len(free.births)
+            assert all(map(np.array_equal, found.births, free.births))
+
+
 def det_one_matrices(d):
     """Every matrix (a, b, c, e) of determinant 1 over Z_d, without the search."""
     a, b, c, e = np.indices((d,) * 4).reshape(4, -1)
