@@ -23,6 +23,13 @@ element the lexicographically least among its shortest words; every
 externally visible result (census, witness word) is therefore a pure
 function of the inputs.
 
+The first ``_free_depth(d)`` layers hold no repeat, so they skip the
+search for first occurrences.  Over the integers, CNOT1 = L = [[1,0],[1,1]]
+and CNOT2 = R = [[1,1],[0,1]] generate a free monoid (the Stern-Brocot
+tree), so distinct words are distinct matrices.  A word of length k has
+entries at most F(k+1) (Fibonacci, F(1) = F(2) = 1); while that is below d,
+reduction mod d keeps the matrices distinct.
+
 Unreachability is only ever reported from a fully enumerated closure.
 A search truncated by a depth or element cap reports DEPTH_LIMIT instead.
 """
@@ -260,6 +267,23 @@ def _search_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     return _step_tables(d)
 
 
+def _free_depth(d: int) -> int:
+    """The largest K with F(K+1) <= d - 1 (F(1) = F(2) = 1), 0 if there is
+    none: layers 1 .. K of a search at d hold 2**k new elements each.
+
+    L*M has rows (r1, r1 + r2) and R*M has rows (r1 + r2, r2).  So by
+    induction from L and R (k = 1), a positive word of length k has every
+    entry at most F(k+1), and its smaller row maximum is at most F(k).
+    Positive words are distinct integer matrices (L and R generate a free
+    monoid), so while F(k+1) <= d - 1 the 2**k words of length k stay
+    distinct mod d, and none equals a shorter word.
+    """
+    k, f, f_next = 0, 1, 1  # F(k+1), F(k+2)
+    while f_next <= d - 1:
+        k, f, f_next = k + 1, f_next, f + f_next
+    return k
+
+
 _UNSEEN, _VISITED = -1, -2
 
 
@@ -295,6 +319,11 @@ def _closure_bfs(
     CNOT1*P_i = CNOT2*P_j, at positions 2i and 2j + 1: the CNOT1 children
     claim their keys in ``owner`` first, and a CNOT2 child takes a claim
     over only from a later parent, i > j.  No sort is needed.
+    Layers 1 .. K = ``_free_depth(d)`` skip the claim pass: their words'
+    entries are at most F(K+1) <= d - 1, so reduction mod d leaves the free
+    monoid's distinct matrices distinct, and layer k holds no repeat and
+    meets no earlier key.  It keeps every child, births 0 .. 2**k - 1;
+    marking, the target read and both caps are the same.
 
     A depth cap stops before layer ``max_depth`` is expanded; an element cap
     stops when the next layer would take the elements over it.
@@ -314,25 +343,30 @@ def _closure_bfs(
         return _Closure("found", counts, births)
 
     room = max_elements - 1  # elements the cap still admits
+    free_depth = _free_depth(d)
     while len(frontier):
         if max_depth is not None and len(counts) > max_depth:
             return _Closure("capped", counts, births)
         children = _children(d, tables, frontier)
-        keys1, keys2 = children.T
-        keep = np.empty(children.shape, dtype=bool)
-        keep1, keep2 = keep.T
-        np.equal(owner.take(keys1), _UNSEEN, out=keep1)
-        claimed = keep1.nonzero()[0]
-        owner.put(keys1[claimed], claimed)
-        held = owner.take(keys2)
-        np.equal(held, _UNSEEN, out=keep2)
-        later = (held > np.arange(len(held), dtype=np.int32)).nonzero()[0]
-        keep2[later] = True
-        keep1[held[later]] = False
-        new = keep.ravel().nonzero()[0].astype(np.int32)  # births, in order
-        frontier = children.ravel()[new]
+        if len(counts) <= free_depth:  # every child is new
+            new = np.arange(children.size, dtype=np.int32)
+            frontier = children.ravel()
+        else:
+            keys1, keys2 = children.T
+            keep = np.empty(children.shape, dtype=bool)
+            keep1, keep2 = keep.T
+            np.equal(owner.take(keys1), _UNSEEN, out=keep1)
+            claimed = keep1.nonzero()[0]
+            owner.put(keys1[claimed], claimed)
+            held = owner.take(keys2)
+            np.equal(held, _UNSEEN, out=keep2)
+            later = (held > np.arange(len(held), dtype=np.int32)).nonzero()[0]
+            keep2[later] = True
+            keep1[held[later]] = False
+            new = keep.ravel().nonzero()[0].astype(np.int32)  # births, in order
+            frontier = children.ravel()[new]
+            del children, keys1, keys2, claimed, held  # freed before the next layer's step
         owner.put(frontier, _VISITED)
-        del children, keys1, keys2, claimed, held  # freed before the next layer's step
         # a search returns in the first layer that marks its target
         found = target_key is not None and owner[target_key] == _VISITED
         if found:

@@ -24,6 +24,7 @@ from cnotswap.synthesis import (
     _bezout_table,
     _children,
     _closure_bfs,
+    _free_depth,
     _key_state_bytes,
     _keys,
     _kept_step_tables,
@@ -677,7 +678,7 @@ def test_kernel_matches_the_d4_key_reference(d):
             assert_kernel_matches_reference(d, target, max_elements=cap)
 
 
-@pytest.mark.parametrize("d", [24, 31, 40])
+@pytest.mark.parametrize("d", [24, 31, 39, 40])
 def test_kernel_matches_the_d4_key_reference_in_the_benchmark_range(d):
     # the library benchmark searches d in [16, 40]; spread targets, the last
     # element, depth caps around the middle and the end, and element caps
@@ -720,6 +721,67 @@ def test_element_cap_at_the_targets_own_position(d):
             assert found.counts == free.counts == counts[:depth] + [position + 1]
             assert len(found.births) == len(free.births)
             assert all(map(np.array_equal, found.births, free.births))
+
+
+def fibonacci(n):
+    """F(n) with F(1) = F(2) = 1."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def positive_word_layers(depth, d=None):
+    """The (a, b, c, e) matrices of every word of length 0 .. depth in
+    L = [[1,0],[1,1]] and R = [[1,1],[0,1]], layer k in (parent, L before R)
+    order, each child G times its parent; over the integers, or mod d."""
+    layers = [np.array([[1, 0, 0, 1]], dtype=np.int64)]
+    for _ in range(depth):
+        a, b, c, e = layers[-1].T
+        # L*M has rows (r1, r1 + r2), R*M rows (r1 + r2, r2)
+        children = np.stack([np.stack([a, b, a + c, b + e], axis=1),
+                             np.stack([a + c, b + e, c, e], axis=1)], axis=1).reshape(-1, 4)
+        layers.append(children)
+    return layers if d is None else [layer % d for layer in layers]
+
+
+def test_positive_words_are_distinct_with_fibonacci_bounded_entries():
+    # the lemma behind _free_depth, over the integers: the monoid of L and R
+    # is free, and the entries of a length-k word reach exactly F(k+1)
+    layers = positive_word_layers(16)
+    seen = set()
+    for k, layer in enumerate(layers):
+        matrices = set(map(tuple, layer.tolist()))
+        assert len(matrices) == len(layer) == 2**k
+        assert not matrices & seen
+        seen |= matrices
+        assert layer.max() == fibonacci(k + 1)
+        if k:  # the induction's second half: the smaller row maximum
+            smaller = np.minimum(layer[:, :2].max(axis=1), layer[:, 2:].max(axis=1))
+            assert smaller.max() <= fibonacci(k)
+
+
+# the d <= 80 whose layer _free_depth(d) + 1 repeats a key; there the bound is exact
+FIRST_REPEAT_AFTER_FREE_DEPTH = [1, 2, 3, 4, 6, 7, 9, 10, 11, 14, 15, 16, 18, 22, 23, 24, 26,
+                                 29, 36, 37, 38, 39, 42, 47, 56, 58, 60, 61, 63, 68, 76]
+
+
+@pytest.mark.parametrize("d", range(1, 81))
+def test_free_depth_layers_hold_every_child(d):
+    # layers 0 .. K + 1 against positive words reduced mod d: layer k's new
+    # elements are the length-k words that no shorter word equals mod d
+    free = _free_depth(d)
+    # the largest K with F(K+1) <= d - 1, or 0 where there is none (d = 1)
+    assert d - 1 < fibonacci(free + 2) and (free == 0 or fibonacci(free + 1) <= d - 1)
+    closure = _closure_bfs(d, max_elements=DEFAULT_MAX_ELEMENTS, max_depth=free + 1)
+    seen, counts = set(), []
+    for layer in positive_word_layers(free + 1, d):
+        new = set(map(tuple, layer.tolist())) - seen
+        seen |= new
+        counts.append(len(new))
+    assert closure.counts == counts
+    assert counts[: free + 1] == [2**k for k in range(free + 1)]
+    assert (counts[free + 1] < 2 ** (free + 1)) == (d in FIRST_REPEAT_AFTER_FREE_DEPTH)
 
 
 def det_one_matrices(d):
