@@ -8,8 +8,9 @@ and the group order, checked against |SL(2, Z_d)|, with the diameter.  One
 closure runs per d: the search exhausts the group wherever SWAP is out of
 reach, and a census runs only where it finds SWAP (d = 1, 2).  A search
 guard or the element cap fills only the search columns of its row, with the
-reason; the parity guard (d > 1000) stops the whole row.  Exit 1 only if an
-order deviates.
+reason; the parity guard (d > 1000) stops the whole row.  Exit 1 if an
+order deviates, else 3 if a row stopped at the element cap, so no row goes
+unchecked silently; guard rows and --skip-search runs exit 0.
 
 Usage:
     python scripts/sweep.py --d-max 12
@@ -116,7 +117,7 @@ def main() -> int:
     if guarded:
         summary += f"; not checked, stopped by a guard: d = {', '.join(guarded)}"
     print("\n" + summary)
-    return 0
+    return 3 if capped else 0
 
 
 if __name__ == "__main__":

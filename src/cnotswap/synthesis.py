@@ -9,11 +9,12 @@ elements each depth met and, only when it has a target, each element's birth:
 its position among its layer's children, from which its parent and letter
 follow.  A census is read off the counts and a word off the births.
 
-The step tables depend on d alone and are read-only.  Those of every d whose
-tables fit TABLE_CACHE_BUDGET together with the tables of all smaller d are
-built on the first search at d and kept for the rest of the process; a larger
-d builds its own for each search.  Each search allocates only its own
-membership array (``owner``), frontier, counts and births.
+The step tables depend on d alone and are read-only, and so does the free
+prefix (below), which is built with them.  Those of every d whose tables fit
+TABLE_CACHE_BUDGET together with the tables of all smaller d are built on the
+first search at d and kept for the rest of the process; a larger d builds its
+own for each search.  Each search allocates only its own membership array
+(``owner``), the layers past the prefix, counts and births.
 
 The Cayley graph is explored breadth-first: appending a generator to the
 end of a circuit-time word is one edge, so the depth of an element's first
@@ -23,12 +24,14 @@ element the lexicographically least among its shortest words; every
 externally visible result (census, witness word) is therefore a pure
 function of the inputs.
 
-The first ``_free_depth(d)`` layers hold no repeat, so they skip the
-search for first occurrences.  Over the integers, CNOT1 = L = [[1,0],[1,1]]
-and CNOT2 = R = [[1,1],[0,1]] generate a free monoid (the Stern-Brocot
-tree), so distinct words are distinct matrices.  A word of length k has
-entries at most F(k+1) (Fibonacci, F(1) = F(2) = 1); while that is below d,
-reduction mod d keeps the matrices distinct.
+The first ``_free_depth(d)`` layers, the free prefix, hold no repeat, so
+they are every child in order and a search reads them from its tables
+instead of stepping.  Over the integers, CNOT1 = L = [[1,0],[1,1]] and
+CNOT2 = R = [[1,1],[0,1]] generate a free monoid (the Stern-Brocot tree),
+so distinct words are distinct matrices.  A word of length k has entries at
+most F(k+1) (Fibonacci, F(1) = F(2) = 1); while that is below d, reduction
+mod d keeps the matrices distinct.  Every later layer finds its first
+occurrences with one scatter into ``owner``.
 
 Unreachability is only ever reported from a fully enumerated closure.
 A search truncated by a depth or element cap reports DEPTH_LIMIT instead.
@@ -55,7 +58,8 @@ DEFAULT_MAX_DIMENSION = 31
 # 16.9 MB at d = 160, and d <= 254 fits
 KEY_STATE_BUDGET = 64 << 20
 # bytes of step tables kept between searches (``_search_tables``): the
-# tables of every d <= 72 take 2.03 MB together
+# tables of every d <= 72 take 2.03 MB together.  The free prefix kept with
+# them is not counted: 197 KB over d <= 72, and 43 KB for d in [16, 40]
 TABLE_CACHE_BUDGET = 2 << 20
 TRIAL_DIVISION_LIMIT = 10**6
 _PAIR = np.int64(2**32 + 1)  # k * _PAIR adds k to both int32 halves of an int64
@@ -209,9 +213,12 @@ def _keys(d: int, bezout: tuple[np.ndarray, np.ndarray], first, second):
     return key
 
 
-def _step_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only tables (offsets, scaled) over column codes f, entry f of
-    each an int32 pair, CNOT1's value then CNOT2's, packed in one int64.
+def _step_tables(d: int) -> tuple[np.ndarray, ...]:
+    """The read-only arrays a search at d starts from: the tables (offsets,
+    scaled) over column codes f, entry f of each an int32 pair, CNOT1's value
+    then CNOT2's, packed in one int64; then ``arange(2**K)``; then the int32
+    keys of layers 1 .. K = ``_free_depth(d)`` in birth order, whose births
+    are that arange's first 2**k entries.
 
     With (x, y) the Bézout pair of f, s0(f) = (-y, x) is the second column
     of the det-1 matrix with first column f and key offset t = 0.  The
@@ -231,15 +238,20 @@ def _step_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
         images = _linear_images(d, *GATE_MATRICES[letter]).ravel()
         offsets = _keys(d, bezout, images, images[base]) % d - d * np.arange(d * d)
         lifted[:, :, column] = offsets + d**3, images * d + d**3
-    tables = lifted.view(np.int64)[..., 0] - d**3 * _PAIR
-    tables.flags.writeable = False
-    return tuple(tables)
+    tables = tuple(lifted.view(np.int64)[..., 0] - d**3 * _PAIR)
+    layers = [np.array([_key(d, (1 % d, 0, 0, 1 % d))], dtype=np.int32)]  # the identity
+    for _ in range(_free_depth(d)):
+        layers.append(_children(d, tables, layers[-1]).ravel())
+    arrays = (*tables, np.arange(len(layers[-1]), dtype=np.int32), *layers[1:])
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
-def _children(d: int, tables: tuple[np.ndarray, np.ndarray], frontier: np.ndarray) -> np.ndarray:
+def _children(d: int, tables: tuple[np.ndarray, ...], frontier: np.ndarray) -> np.ndarray:
     """The int32 keys of CNOT1*M and CNOT2*M, one row per int32 key M in
-    ``frontier``, from one gather of each ``_step_tables`` entry."""
-    offsets, scaled = tables
+    ``frontier``, from one gather of each ``_step_tables`` table."""
+    offsets, scaled = tables[:2]
     first = np.floor_divide(frontier, d, dtype=np.intp)
     keys = offsets.take(first)
     keys += frontier * _PAIR  # s = t + off_G[f] < 2*d in each half
@@ -254,13 +266,14 @@ def _children(d: int, tables: tuple[np.ndarray, np.ndarray], frontier: np.ndarra
 _kept_step_tables = cache(_step_tables)
 
 
-def _search_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+def _search_tables(d: int) -> tuple[np.ndarray, ...]:
     """``_step_tables`` at d, shared by every search at d while the tables of
     d and all smaller d, 16*(1**2 + ... + d**2) bytes, fit TABLE_CACHE_BUDGET.
 
     So the kept tables never take more than the budget, whichever d are
-    searched and in whatever order, and none is ever dropped.  A larger d
-    builds its tables for each search.
+    searched and in whatever order, and none is ever dropped; the free
+    prefix is kept with its tables and not counted.  A larger d builds both
+    for each search.
     """
     if 8 * d * (d + 1) * (2 * d + 1) // 3 <= TABLE_CACHE_BUDGET:
         return _kept_step_tables(d)
@@ -284,7 +297,7 @@ def _free_depth(d: int) -> int:
     return k
 
 
-_UNSEEN, _VISITED = -1, -2
+_UNSEEN, _VISITED = 2**31 - 1, -1
 
 
 def _closure_bfs(
@@ -314,26 +327,30 @@ def _closure_bfs(
     the first occurrence of each unvisited key is kept, which is the element
     a one-at-a-time insertion-order loop would have added.  Its position in
     that order is its birth: the parent is birth // 2 in the layer before
-    and the letter birth % 2.
-    G*P = G*Q only when P = Q, so within a layer a key repeats only as
-    CNOT1*P_i = CNOT2*P_j, at positions 2i and 2j + 1: the CNOT1 children
-    claim their keys in ``owner`` first, and a CNOT2 child takes a claim
-    over only from a later parent, i > j.  No sort is needed.
-    Layers 1 .. K = ``_free_depth(d)`` skip the claim pass: their words'
-    entries are at most F(K+1) <= d - 1, so reduction mod d leaves the free
-    monoid's distinct matrices distinct, and layer k holds no repeat and
-    meets no earlier key.  It keeps every child, births 0 .. 2**k - 1;
-    marking, the target read and both caps are the same.
+    and the letter birth % 2.  One scatter finds the first occurrences:
+    ``np.minimum.at`` writes each child's position into ``owner`` at its key,
+    and a child is new exactly when its key then holds its own position.
+    Visited keys hold _VISITED = -1, below every position, so they keep it;
+    an unseen key (_UNSEEN = 2**31 - 1, above every position) ends holding
+    its least position.  Marking the layer's new keys _VISITED leaves no
+    position behind.
+    Layers 1 .. K = ``_free_depth(d)`` hold no repeat and meet no earlier
+    key: their words' entries are at most F(K+1) <= d - 1, so reduction
+    mod d leaves the free monoid's distinct matrices distinct.  They are a
+    function of d alone, so they come from ``_step_tables`` with no step:
+    layer k is every child, births 0 .. 2**k - 1.  Marking, the target read
+    and both caps are the same on every layer.
 
     A depth cap stops before layer ``max_depth`` is expanded; an element cap
     stops when the next layer would take the elements over it.
     """
     tables = _search_tables(d)
+    ordinals, prefix = tables[2], tables[3:]
     target_key = None
     if target is not None and _determinant(d, target) == 1 % d:
         target_key = _key(d, target)
-    # per key: _UNSEEN, _VISITED, or within a layer the index i >= 0 of the
-    # frontier element whose CNOT1 child claims it
+    # per key: _UNSEEN, _VISITED, or within a layer's scatter the least
+    # position of a child with that key
     owner = np.full(d**3, _UNSEEN, dtype=np.int32)
     frontier = np.array([_key(d, (1 % d, 0, 0, 1 % d))], dtype=np.int32)  # the identity
     owner[frontier] = _VISITED
@@ -343,29 +360,19 @@ def _closure_bfs(
         return _Closure("found", counts, births)
 
     room = max_elements - 1  # elements the cap still admits
-    free_depth = _free_depth(d)
     while len(frontier):
         if max_depth is not None and len(counts) > max_depth:
             return _Closure("capped", counts, births)
-        children = _children(d, tables, frontier)
-        if len(counts) <= free_depth:  # every child is new
-            new = np.arange(children.size, dtype=np.int32)
-            frontier = children.ravel()
+        if len(counts) <= len(prefix):  # every child is new
+            frontier = prefix[len(counts) - 1]
+            new = ordinals[: len(frontier)]
         else:
-            keys1, keys2 = children.T
-            keep = np.empty(children.shape, dtype=bool)
-            keep1, keep2 = keep.T
-            np.equal(owner.take(keys1), _UNSEEN, out=keep1)
-            claimed = keep1.nonzero()[0]
-            owner.put(keys1[claimed], claimed)
-            held = owner.take(keys2)
-            np.equal(held, _UNSEEN, out=keep2)
-            later = (held > np.arange(len(held), dtype=np.int32)).nonzero()[0]
-            keep2[later] = True
-            keep1[held[later]] = False
-            new = keep.ravel().nonzero()[0].astype(np.int32)  # births, in order
-            frontier = children.ravel()[new]
-            del children, keys1, keys2, claimed, held  # freed before the next layer's step
+            children = _children(d, tables, frontier).ravel()
+            positions = np.arange(children.size, dtype=np.int32)
+            np.minimum.at(owner, children, positions)
+            new = (owner.take(children) == positions).nonzero()[0].astype(np.int32)  # births
+            frontier = children[new]
+            del children, positions  # freed before the next layer's step
         owner.put(frontier, _VISITED)
         # a search returns in the first layer that marks its target
         found = target_key is not None and owner[target_key] == _VISITED

@@ -74,6 +74,10 @@ def test_sweep_exits_1_when_an_order_deviates(sweep, monkeypatch, capsys):
     assert sweep.main() == 1
     assert capsys.readouterr().out.rstrip().splitlines()[-1] == (
         "1 dimension(s) deviate from the SL(2, Z_d) order: [4]")
+    # a deviation outranks a row over the element cap (|SL(2, Z_5)| = 120)
+    monkeypatch.setattr(sys, "argv", ["sweep.py", "--d-max", "5", "--max-elements", "100"])
+    assert sweep.main() == 1
+    assert "deviate" in capsys.readouterr().out
 
 
 def test_sweep_writes_its_rows_as_json(sweep, monkeypatch, tmp_path):
@@ -85,9 +89,10 @@ def test_sweep_writes_its_rows_as_json(sweep, monkeypatch, tmp_path):
 
 
 def test_sweep_reports_dimensions_over_the_element_cap():
-    # |SL(2, Z_d)| is 120 at d = 5 and 144 at d = 6
+    # |SL(2, Z_d)| is 120 at d = 5 and 144 at d = 6; rows left unchecked
+    # by the cap exit 3
     proc = run_sweep("--d-max", "6", "--max-elements", "50")
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stdout.rstrip().splitlines()
     assert lines[-1] == (

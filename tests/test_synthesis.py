@@ -782,6 +782,16 @@ def test_free_depth_layers_hold_every_child(d):
     assert closure.counts == counts
     assert counts[: free + 1] == [2**k for k in range(free + 1)]
     assert (counts[free + 1] < 2 ** (free + 1)) == (d in FIRST_REPEAT_AFTER_FREE_DEPTH)
+    # the prefix a search reads instead of stepping: layer k's keys are the
+    # length-k words in birth order, and its births the first 2**k ordinals
+    ordinals, *prefix = _search_tables(d)[2:]
+    assert np.array_equal(ordinals, np.arange(2**free))
+    assert len(prefix) == free
+    bezout = _bezout_table(d)
+    for layer, keys in zip(positive_word_layers(free, d)[1:], prefix):
+        a, b, c, e = layer.T
+        assert keys.dtype == np.int32
+        assert np.array_equal(keys, _keys(d, bezout, a * d + c, b * d + e))
 
 
 def det_one_matrices(d):
@@ -896,8 +906,9 @@ def test_search_finds_a_deep_word_at_d182():
 
 def test_search_guard_admits_254_and_refuses_255_without_allocating():
     # the owner array and the two packed step tables, not the Bézout pair
-    # freed before them, make the state the guard counts
-    tables = _step_tables(64)
+    # freed before them nor the free prefix after them, make the state the
+    # guard counts
+    tables = _step_tables(64)[:2]
     assert _key_state_bytes(64) == 4 * 64**3 + sum(table.nbytes for table in tables)
     assert _key_state_bytes(254) <= KEY_STATE_BUDGET < _key_state_bytes(255)
     identity = Perm.identity(255 * 255)
@@ -934,10 +945,12 @@ def test_full_closure_at_d64_stays_small():
 @pytest.mark.parametrize("target", [None, (0, 127, 1, 0)], ids=["census", "signed-swap"])
 def test_kernel_transients_stay_within_52_bytes_per_widest_layer_element(target):
     # past the dense key state and the births a search keeps, what a search
-    # allocates is its widest layer's transients: frontier, children, claim
-    # pass and selection.  The signed swap is met at depth 23 (the diameter
-    # is 26), past the widest layer.  Measured at 40.0 B (census) and 30.3 B
-    # (search); the kernel with four per-generator tables took 50.5-51.5 B
+    # allocates is its widest layer's transients: frontier, children, the
+    # scatter's positions and intp index copy, and selection.  The signed
+    # swap is met at depth 23 (the diameter is 26), past the widest layer.
+    # Measured at 48.1 B (census) and 38.4 B (search); the two-phase claim
+    # pass took 40.0 B and 30.3 B, and the kernel with four per-generator
+    # tables 50.5-51.5 B
     d = 128  # above 72, so the search builds its own tables and they count
     tracemalloc.start()
     try:
@@ -982,6 +995,8 @@ def test_kept_tables_are_read_only():
     for d in (5, 73):  # kept at 5, built for each search at 73
         tables = _search_tables(d)
         assert is_kept(d) == (d == 5)
+        # the two step tables, the prefix's births and its layers' keys
+        assert len(tables) == 3 + _free_depth(d)
         for array in tables:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
