@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cnotswap.cli import _positive_int
 from cnotswap.feasibility import decide
 from cnotswap.gates import GATE_MATRICES, GateKind, _determinant, gate_perm
-from cnotswap.perm import CostGuardError
+from cnotswap.guards import CostGuardError
 from cnotswap.synthesis import SearchOutcome, enumerate_group, find_word, sl2_order
 
 

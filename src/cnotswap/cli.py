@@ -32,7 +32,7 @@ from operator import ne
 from cnotswap import __version__
 from .feasibility import PARITY_DIMENSION_LIMIT, Verdict, decide
 from .gates import GateKind, gate_perm
-from .perm import CostGuardError, Perm, _check_guard
+from .guards import CostGuardError, _check_guard
 from .synthesis import (
     DEFAULT_MAX_DIMENSION,
     DEFAULT_MAX_ELEMENTS,
@@ -61,17 +61,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:  # a non-integer gets the same message as 0
+        pass
+    raise argparse.ArgumentTypeError("must be a positive integer")
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a non-negative integer")
 
 
 def build_parser() -> _Parser:
@@ -146,7 +150,10 @@ def _json_pieces(value, newline: str) -> Iterator[str]:
     and any other value as one re-indented ``json.dumps`` piece.
     """
     inner = newline + "  "
-    if isinstance(value, Perm):  # one entry a line: rows and entries share one separator
+    # a Perm exists only once cnotswap.perm, and numpy with it, has loaded
+    perm = sys.modules.get("cnotswap.perm")
+    if perm is not None and isinstance(value, perm.Perm):
+        # one entry a line: rows and entries share one separator
         prefix = "[" + inner
         for row in _matrix_rows(value, "," + inner):
             yield prefix + row

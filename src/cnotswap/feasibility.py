@@ -4,7 +4,9 @@ Signatures multiply under composition, so a word over generators of
 signature +1 can never equal a target of signature -1.  The decision here
 is one-sided: parity can prove impossibility but never feasibility, which
 is why the non-obstructed verdict is "unknown" and feasibility claims are
-left to the exhaustive search in :mod:`cnotswap.synthesis`.
+left to the exhaustive search in :mod:`cnotswap.synthesis`.  The module
+needs only the standard library; ``decide`` loads numpy with its first gate
+table, after its guard has admitted d.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .gates import GateKind, _check_dimension, gate_perm
-from .perm import _check_guard
+from .gates import GateKind, gate_perm
+from .guards import _check_dimension, _check_guard
 
 PARITY_DIMENSION_LIMIT = 1000
 

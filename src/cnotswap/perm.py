@@ -1,43 +1,45 @@
-"""Exact permutation algebra on the points {0..n-1}.
+"""Exact permutation algebra on the points {0..n-1}: the numpy back end.
 
 Permutations are stored as image tables: ``image[i]`` is where point ``i``
 goes, held as one read-only int64 numpy array so every operation runs as
 whole-array arithmetic.  Composition follows the convention
 (p * q)(i) = p(q(i)), i.e. the right factor acts first.  Everything here is
-exact integer arithmetic.  ``_check_integer`` and ``_check_guard``, which
-raises every dimension guard's ``CostGuardError``, check the package's inputs.
+exact integer arithmetic.  ``_linear_images`` is the one routine that turns
+a 2x2 matrix over Z_d into the image table of its permutation of the d*d
+basis states.  This module and :mod:`cnotswap.kernel` are the only ones that
+import numpy; the front end loads them on its first table.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable
 
 import numpy as np
 
-
-class CostGuardError(ValueError):
-    """An operation would exceed its resource guard."""
+from .guards import _check_dimension, _check_integer
 
 
-def _check_guard(name: str, d: int, limit: int, note: str = "") -> None:
-    """CostGuardError once the dimension d exceeds the guard's limit."""
-    if d > limit:
-        raise CostGuardError(f"{name} guard: d = {d} exceeds {limit}{note}")
+def _linear_images(d: int, a, b, c, e) -> np.ndarray:
+    """Image table of (m, n) -> (a*m + b*n, c*m + e*n) mod d, shape (d, d).
 
+    Coefficients lie in 0 .. d-1.  Entry [m, n] is the image of the basis
+    state d*m + n, so the table ravels in flat-index order.  The products x*m
+    and y*n are reduced on the d digits before they broadcast, so each
+    coordinate is one sum below 2*d on the grid, brought under d by one
+    subtraction.  Tables are int32 while d*d fits.
+    """
+    d = _check_dimension(d)
+    digits = np.arange(d, dtype=np.int32 if d * d <= 2**31 else np.int64)
 
-def _check_integer(value, name: str, least: int) -> int:
-    """``value`` as a plain int, which numpy integers become too; ValueError
-    for a bool, a non-integer or a value below ``least``."""
-    try:
-        if isinstance(value, bool):  # operator.index reads True as 1
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"invalid {name} {value!r}; need an integer") from None
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return value
+    def coordinate(x, y):
+        t = (x * digits % d)[:, None] + (y * digits % d)[None, :]
+        np.subtract(t, d, out=t, where=t >= d)
+        return t
+
+    table = coordinate(a, b)
+    table *= d
+    table += coordinate(c, e)
+    return table
 
 
 class Perm:

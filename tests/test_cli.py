@@ -240,6 +240,20 @@ def test_usage_errors_exit_64(run_cli, argv):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("decide --d 0", "argument --d: must be a positive integer"),
+    ("decide --d 1e3", "argument --d: must be a positive integer"),
+    ("group --d 2 --max-elements ten", "argument --max-elements: must be a positive integer"),
+    ("synth --d 2 --max-depth -1", "argument --max-depth: must be a non-negative integer"),
+    ("synth --d 2 --max-depth 2.5", "argument --max-depth: must be a non-negative integer"),
+])
+def test_a_non_integer_gets_the_out_of_range_message(run_cli, argv, message):
+    # a non-integer printed "invalid _positive_int value: '1e3'"
+    code, out, err = run_cli(*argv.split())
+    assert (code, out) == (64, "")
+    assert err.endswith(f"cnotswap {argv.split()[0]}: error: {message}\n")
+
+
 def test_guard_errors_exit_65(run_cli):
     for argv in (["decide", "--d", "1001"], ["analyze", "--d", "1001", "--gate", "swap"]):
         code, _, err = run_cli(*argv)
@@ -270,6 +284,35 @@ def test_cli_import_leaves_logging_out():
         capture_output=True, text=True, env=env,
     )
     assert proc.stdout == "False\n"
+
+
+# a fresh interpreter runs main(argv) and prints its exit code and whether
+# numpy was loaded; decide --d 7 is the control that does load it
+ANSWER_AND_NUMPY = """import sys
+from cnotswap.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, code, numpy_loaded", [
+    ("--help", 0, False),
+    ("decide --d 1e3", 64, False),
+    ("decide --d 1001", 65, False),
+    ("analyze --gate swap --d 1001", 65, False),
+    ("export --gate swap --d 65", 65, False),
+    ("synth --d 300 --max-dimension 300", 65, False),
+    ("group --d 300 --max-dimension 300", 65, False),
+    ("decide --d 7", 1, True),
+])
+def test_refusals_and_usage_errors_answer_before_numpy_loads(argv, code, numpy_loaded):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", ANSWER_AND_NUMPY, *argv.split()],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout.splitlines()[-1] == f"{code} {numpy_loaded}"
 
 
 def test_allocation_failure_exits_65_without_traceback(run_cli, monkeypatch):

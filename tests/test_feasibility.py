@@ -9,7 +9,7 @@ from cnotswap.feasibility import (
     swap_signature_formula,
 )
 from cnotswap.gates import GateKind, gate_perm
-from cnotswap.perm import CostGuardError
+from cnotswap.guards import CostGuardError
 from cnotswap.synthesis import SearchOutcome, find_word
 
 

@@ -14,7 +14,8 @@ from cnotswap.gates import (
     gate_perm,
 )
 from cnotswap.feasibility import decide
-from cnotswap.perm import CostGuardError, Perm
+from cnotswap.guards import CostGuardError
+from cnotswap.perm import Perm
 from cnotswap.synthesis import check_search_guards, enumerate_group, find_word, sl2_order
 
 from determinant_reference import exact_determinant

@@ -6,8 +6,14 @@ import importlib
 import tomllib
 from pathlib import Path
 
+import pytest
+
 import cnotswap
-import cnotswap.cli  # noqa: F401  build_tracers reads the submodules as attributes
+# build_tracers reads these submodules as attributes of the package, and
+# cnotswap.cli alone no longer loads the numpy-backed cnotswap.perm
+import cnotswap.cli  # noqa: F401
+import cnotswap.perm  # noqa: F401
+import cnotswap.synthesis  # noqa: F401
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -34,6 +40,39 @@ def test_exports_resolve_and_the_console_script_is_callable():
 def test_exports_are_exactly_the_public_list():
     # adding or removing an export has to be an edit here as well
     assert sorted(cnotswap.__all__) == EXPORTS
+
+
+# where each export is defined; Perm is the one the package resolves on access
+DEFINED_IN = {
+    "cnotswap.guards": ["CostGuardError"],
+    "cnotswap.perm": ["Perm"],
+    "cnotswap.gates": ["GENERATORS", "GateKind", "as_linear_map", "gate_perm"],
+    "cnotswap.feasibility": ["Decision", "ParityReport", "Verdict", "decide",
+                             "swap_signature_formula"],
+    "cnotswap.synthesis": ["GateWord", "GroupCensus", "GroupTooLarge", "SearchOutcome",
+                           "SynthesisResult", "apply_word", "enumerate_group", "find_word",
+                           "sl2_order"],
+}
+
+
+def test_star_import_and_dir_give_every_export():
+    namespace = {}
+    exec("from cnotswap import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+    assert set(EXPORTS) <= set(dir(cnotswap))
+
+
+def test_each_export_is_the_object_of_its_defining_module():
+    assert sorted(["__version__", *(name for names in DEFINED_IN.values() for name in names)]) \
+        == EXPORTS
+    for module, names in DEFINED_IN.items():
+        for name in names:
+            assert getattr(cnotswap, name) is getattr(importlib.import_module(module), name), name
+
+
+def test_an_unknown_attribute_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_export'"):
+        cnotswap.no_such_export  # noqa: B018
 
 
 def test_the_benchmark_child_wraps_and_calls_what_exists(monkeypatch):

@@ -11,25 +11,27 @@ import numpy as np
 import pytest
 
 from cnotswap.gates import (
-    GATE_MATRICES, GENERATORS, GateKind, as_linear_map, gate_perm,
-    _determinant, _linear_images,
+    GATE_MATRICES, GENERATORS, GateKind, as_linear_map, gate_perm, _determinant,
 )
-from cnotswap.perm import CostGuardError, Perm
-from cnotswap.synthesis import (
-    DEFAULT_MAX_DIMENSION,
-    DEFAULT_MAX_ELEMENTS,
-    KEY_STATE_BUDGET,
+from cnotswap.guards import CostGuardError
+from cnotswap.kernel import (
     TABLE_CACHE_BUDGET,
     _bezout_pair,
     _bezout_table,
     _children,
     _closure_bfs,
     _free_depth,
-    _key_state_bytes,
     _keys,
     _kept_step_tables,
     _search_tables,
     _step_tables,
+)
+from cnotswap.perm import Perm, _linear_images
+from cnotswap.synthesis import (
+    DEFAULT_MAX_DIMENSION,
+    DEFAULT_MAX_ELEMENTS,
+    KEY_STATE_BUDGET,
+    _key_state_bytes,
     _table_bytes,
     GateWord,
     GroupCensus,
